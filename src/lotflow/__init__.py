@@ -7,11 +7,10 @@ the exact enumeration oracle, instance generators and the benchmark CLI.
 from .model import (Instance, Plan, Trajectory, FeasibilityReport, InputError,
                     effective_demand, evaluate_plan, check_feasibility,
                     production_upper_bound, trajectory_to_csv,
-                    TOL_ZERO, TOL_FEAS, TOL_EVAL)
+                    TOL_ZERO, TOL_FEAS)
 from .lp import LpProblem, LpSolution, LpStatus, LpNumericalError, lp_solve
 from .rounds import (RoundSpec, RoundSolution, build_psub1, build_psub2,
-                     build_psub3, infer_deltas, solve_round,
-                     enumerate_round_specs)
+                     build_psub3, infer_deltas, solve_round)
 from .frh import Solution, RecursionState, recurse, corollary2_postpass, solve_frh
 from .oracle import OracleConfig, OracleGuardError, solve_exact, deviation
 from .generators import (Table2Config, Table5Config, gen_table1, gen_table2,

@@ -169,6 +169,8 @@ def _bench_one(payload):
 
 
 def cmd_bench(args) -> int:
+    if args.max_cases is not None and args.max_cases < 1:
+        raise InputError(f"--max-cases must be >= 1, got {args.max_cases}")
     if args.scheme == "table2":
         configs = grid_table2(args.seed)
         gen = gen_table2

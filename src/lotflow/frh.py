@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .model import (Instance, Plan, Trajectory, TOL_ZERO, TOL_FEAS,
                     evaluate_plan, check_feasibility)
-from .rounds import (RoundSpec, RoundSolution, FEASIBLE,
-                     enumerate_round_specs, solve_round)
+from .rounds import RoundSpec, RoundSolution, FEASIBLE, round_spec, solve_round
 
 _TIE_TOL = 1e-9
 
@@ -56,7 +56,10 @@ class RecursionState:
 
 
 class _Prefix:
-    """Committed plan through some period, evaluated over the full horizon."""
+    """Committed plan through some period, evaluated over the full horizon.
+
+    Never mutated once built, so several periods may share one prefix.
+    """
 
     __slots__ = ("y", "v", "traj", "last_round")
 
@@ -72,11 +75,16 @@ class _Prefix:
         return self.last_round[0][-1]
 
 
-def _prefix_feasible(inst: Instance, traj: Trajectory, n: int) -> bool:
-    return check_feasibility(inst, traj, up_to=n).feasible
+def _entry_state(traj: Trajectory, t0: int):
+    """(capital, lost sales) at the end of period t0 - 1 along ``traj``."""
+    # clamp away sub-tolerance float noise from the evaluated prefix
+    b = max(0.0, float(traj.B[t0 - 1]))
+    w = max(0.0, float(traj.w[t0 - 2])) if t0 >= 2 else 0.0
+    return b, w
 
 
-def _splice(base: _Prefix, round_sol: RoundSolution, spec: RoundSpec, T: int):
+def _splice(base: _Prefix, round_sol: RoundSolution, spec: RoundSpec):
+    """The base plan before the round, the round, then nothing."""
     y = base.y.copy()
     v = base.v.copy()
     lo, hi = spec.m - 1, spec.n
@@ -99,28 +107,21 @@ class _Frh:
         self.adjustments: list = []
         self.degenerate = False
 
-    def _entry(self, base: _Prefix):
-        traj = base.traj
-
-        def entry(t0: int):
-            # clamp away sub-tolerance float noise from the evaluated prefix
-            b = max(0.0, float(traj.B[t0 - 1]))
-            w = max(0.0, float(traj.w[t0 - 2])) if t0 >= 2 else 0.0
-            return b, w
-
-        return entry
-
     def _round_candidate(self, base: _Prefix, spec: RoundSpec, n: int,
                          w_cap: float | None = None):
+        """Solve the round and splice it onto ``base``.
+
+        Returns ``(BB or nan, prefix or None)``; the prefix is None when the
+        round is infeasible or the spliced plan fails its check through n.
+        """
         sol = solve_round(self.inst, spec, w_cap=w_cap)
         self.lp_count += sol.lp_solves
         if sol.status != FEASIBLE:
-            return None
-        y, v = _splice(base, sol, spec, self.inst.T)
-        pref = _Prefix(self.inst, y, v, (spec.cycle_starts, n))
-        if not _prefix_feasible(self.inst, pref.traj, n):
-            return None
-        return pref
+            return math.nan, None
+        pref = _Prefix(self.inst, *_splice(base, sol, spec), (spec.cycle_starts, n))
+        if not check_feasibility(self.inst, pref.traj, up_to=n).feasible:
+            return sol.BB, None
+        return sol.BB, pref
 
     def step(self, n: int):
         """Commit the best plan through period n (recursion Steps 1-2)."""
@@ -128,35 +129,24 @@ class _Frh:
         candidates: list[tuple[float, float, _Prefix]] = []
 
         prev = self.prefixes[n - 1]
-        if _prefix_feasible(inst, prev.traj, n):
+        if check_feasibility(inst, prev.traj, up_to=n).feasible:
             # idle period: demand in n is fully lost, capital carries over
-            candidates.append((float(prev.traj.B[n]), math.inf,
-                               _Prefix(inst, prev.y.copy(), prev.v.copy(),
-                                       prev.last_round)))
+            candidates.append((float(prev.traj.B[n]), math.inf, prev))
 
         for m in range(1, n + 1):
             base = self.prefixes[m - 1]
-            specs = enumerate_round_specs(inst, m, n,
-                                          prev_cycle=base.last_cycle(),
-                                          entry=self._entry(base))
-            for spec in specs:
-                sol = solve_round(inst, spec)
-                self.lp_count += sol.lp_solves
-                self.bb_table[m - 1, n - 1] = sol.BB if sol.status == FEASIBLE else np.nan
-                if sol.status != FEASIBLE:
-                    continue
-                y, v = _splice(base, sol, spec, inst.T)
-                pref = _Prefix(inst, y, v, (spec.cycle_starts, n))
-                if not _prefix_feasible(inst, pref.traj, n):
-                    continue
+            spec = round_spec(inst, m, n, prev_cycle=base.last_cycle(),
+                              entry=partial(_entry_state, base.traj))
+            bb, pref = self._round_candidate(base, spec, n)
+            self.bb_table[m - 1, n - 1] = bb
+            if pref is not None:
                 candidates.append((float(pref.traj.B[n]), float(m), pref))
 
         if not candidates:
             # even idling violates capital nonnegativity (loan repayment due);
             # commit the idle plan anyway and flag the run degenerate
             self.degenerate = True
-            self.prefixes.append(_Prefix(inst, prev.y.copy(), prev.v.copy(),
-                                         prev.last_round))
+            self.prefixes.append(prev)
             return
 
         best = max(candidates, key=lambda cand: (cand[0], cand[1]))
@@ -179,19 +169,13 @@ class _Frh:
 
         w_cap = float(cur.traj.w[n - 1])
         m = cycles[0]
-
-        def entry_state(t0: int):
-            b = max(0.0, float(cur.traj.B[t0 - 1]))
-            w = max(0.0, float(cur.traj.w[t0 - 2])) if t0 >= 2 else 0.0
-            return b, w
-
         families: list[tuple[str, list[RoundSpec]]] = []
 
         # (a) split the round's first cycle with an extra launch
         first_end = cycles[1] - 1 if len(cycles) >= 2 else n
         if first_end > m:
             specs = []
-            b_in, w_in = entry_state(m)
+            b_in, w_in = _entry_state(cur.traj, m)
             for u in range(m + 1, first_end + 1):
                 specs.append(RoundSpec(m=m, n=n,
                                        cycle_starts=(m, u) + cycles[1:],
@@ -202,7 +186,7 @@ class _Frh:
         if m > 1 and not cur.traj.x[: m - 1].any():
             specs = []
             for u in range(1, m):
-                b_in, w_in = entry_state(u)
+                b_in, w_in = _entry_state(cur.traj, u)
                 specs.append(RoundSpec(m=u, n=n, cycle_starts=(u, m),
                                        B_in=b_in, w_in=w_in))
             families.append(("Adj2", specs))
@@ -213,29 +197,22 @@ class _Frh:
             idle = self.prefixes[0].traj  # all-idle reference trajectory
             next_start = cycles[1] if len(cycles) >= 2 else n + 1
             for u in range(2, next_start):
-                b_in = float(idle.B[u - 1])
-                w_in = max(0.0, float(idle.w[u - 2])) if u >= 2 else 0.0
-                if b_in < 0:
+                if idle.B[u - 1] < 0:
                     continue
+                b_in, w_in = _entry_state(idle, u)
                 specs.append(RoundSpec(m=u, n=n,
                                        cycle_starts=(u,) + cycles[1:],
                                        B_in=b_in, w_in=w_in))
             families.append(("Adj3", specs))
 
         for kind, specs in families:
+            # splicing onto the current prefix keeps its plan before the
+            # round's start and replaces everything from there on
             cur = self.prefixes[n]
-            cur_B = float(cur.traj.B[n])
-            cur_w = float(cur.traj.w[n - 1])
-            best_pref = None
-            best_key = (cur_B, -cur_w)
-            best_u = None
+            best_key = (float(cur.traj.B[n]), -float(cur.traj.w[n - 1]))
+            best = None
             for spec in specs:
-                base_y = cur.y.copy()
-                base_v = cur.v.copy()
-                base_y[spec.m - 1 :] = 0.0
-                base_v[spec.m - 1 :] = 0.0
-                base = _Prefix(inst, base_y, base_v, None)
-                pref = self._round_candidate(base, spec, n, w_cap=w_cap)
+                _, pref = self._round_candidate(cur, spec, n, w_cap=w_cap)
                 if pref is None:
                     continue
                 key = (float(pref.traj.B[n]), -float(pref.traj.w[n - 1]))
@@ -243,15 +220,12 @@ class _Frh:
                         abs(key[0] - best_key[0]) <= _TIE_TOL
                         and key[1] > best_key[1] + _TIE_TOL):
                     best_key = key
-                    best_pref = pref
-                    best_u = spec.cycle_starts
-            if best_pref is not None:
-                self.prefixes[n] = best_pref
-                self.adjustments.append((kind, tuple(best_u)))
+                    best = (pref, spec.cycle_starts)
+            if best is not None:
+                self.prefixes[n] = best[0]
+                self.adjustments.append((kind, best[1]))
 
     def state(self, through: int) -> RecursionState:
-        inst = self.inst
-        T = inst.T
         final = self.prefixes[through]
         B_star = np.array([float(p.traj.B[i]) for i, p in enumerate(self.prefixes)])
         return RecursionState(
@@ -271,14 +245,6 @@ def recurse(inst: Instance) -> RecursionState:
     for n in range(1, inst.T + 1):
         runner.step(n)
     return runner.state(inst.T)
-
-
-def adjust_plan(inst: Instance, runner_or_state, t: int):
-    """Apply the per-period adjustment families at period t (in place)."""
-    if not isinstance(runner_or_state, _Frh):
-        raise TypeError("adjust_plan operates on a running recursion")
-    runner_or_state.adjust(t)
-    return runner_or_state
 
 
 def corollary2_postpass(inst: Instance, sol: Solution) -> Solution:

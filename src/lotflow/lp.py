@@ -16,11 +16,10 @@ import numpy as np
 
 # primal feasibility residual accepted on an Optimal result
 TOL_LP_FEAS = 1e-7
-# relative optimality tolerance
-TOL_LP_OPT = 1e-6
 
 _PIVOT_TOL = 1e-9
-_RELATIONS = ("<=", "=", ">=")
+# row relation -> sense: +1 takes a slack, -1 a surplus, 0 (equality) neither
+_SENSE = {"<=": 1, "=": 0, ">=": -1}
 
 
 class LpStatus(Enum):
@@ -67,8 +66,8 @@ class LpProblem:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.n_vars,):
             raise LpError("row length must equal n_vars")
-        if relation not in _RELATIONS:
-            raise LpError(f"relation must be one of {_RELATIONS}")
+        if relation not in _SENSE:
+            raise LpError(f"relation must be one of {tuple(_SENSE)}")
         if not math.isfinite(rhs):
             raise LpError("rhs must be finite")
         self.rows.append((coeffs, relation, float(rhs)))
@@ -92,40 +91,26 @@ class LpSolution:
     iterations: int = 0
 
 
-def _standardize(prob: LpProblem):
-    """Rewrite general bounds into nonnegative variables.
+def _columns(bounds: list, n: int):
+    """Rewrite general bounds into nonnegative standard columns.
 
-    Returns (col_exprs, extra_rows, obj, obj_const, n_std) where each original
-    variable i is col_exprs[i] = list of (std index, coeff) plus a constant.
+    Original variable i is ``const[i] + sum(sign[k] * u[k] for src[k] == i)``
+    with every ``u[k] >= 0``. Returns (src, sign, const, capped, cap_rhs):
+    each variable in ``capped`` gets the row ``u[first column] <= cap_rhs``,
+    which closes a finite box or, for an empty box, cannot be satisfied.
     """
-    col_terms: list[list[tuple[int, float]]] = []
-    col_const: list[float] = []
-    extra_rows: list[tuple[list[tuple[int, float]], str, float]] = []
-    n_std = 0
-    for lo, hi in prob.bounds:
-        if lo > hi:
-            # empty box: encode as an unsatisfiable row on a dummy variable
-            col_terms.append([(n_std, 1.0)])
-            col_const.append(0.0)
-            extra_rows.append(([(n_std, 1.0)], "<=", -1.0))
-            n_std += 1
-        elif math.isfinite(lo):
-            col_terms.append([(n_std, 1.0)])
-            col_const.append(lo)
-            if math.isfinite(hi):
-                extra_rows.append(([(n_std, 1.0)], "<=", hi - lo))
-            n_std += 1
-        elif math.isfinite(hi):
-            # x = hi - u, u >= 0
-            col_terms.append([(n_std, -1.0)])
-            col_const.append(hi)
-            n_std += 1
-        else:
-            # free: x = u - w
-            col_terms.append([(n_std, 1.0), (n_std + 1, -1.0)])
-            col_const.append(0.0)
-            n_std += 2
-    return col_terms, col_const, extra_rows, n_std
+    lo, hi = np.array(bounds, dtype=float).reshape(n, 2).T
+    empty = lo > hi
+    shifted = ~empty & np.isfinite(lo)               # x = lo + u
+    flipped = ~empty & ~shifted & np.isfinite(hi)    # x = hi - u
+    free = ~(empty | shifted | flipped)              # x = u - w
+    const = np.where(shifted, lo, np.where(flipped, hi, 0.0))
+    src = np.repeat(np.arange(n), np.where(free, 2, 1))
+    sign = np.where(flipped[src], -1.0, 1.0)
+    sign[1:][src[1:] == src[:-1]] = -1.0             # the w of a free variable
+    capped = np.flatnonzero(empty | shifted & np.isfinite(hi))
+    cap_rhs = np.where(empty, -1.0, hi - lo)[capped]
+    return src, sign, const, capped, cap_rhs
 
 
 def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int):
@@ -183,82 +168,47 @@ def _simplex_phase(tab: np.ndarray, basis: np.ndarray, iters: int,
 
 def lp_solve(prob: LpProblem, max_iterations: int | None = None) -> LpSolution:
     """Solve an :class:`LpProblem`; never raises for infeasible/unbounded input."""
-    col_terms, col_const, extra_rows, n_std = _standardize(prob)
+    n = prob.n_vars
+    src, sign, const, capped, cap_rhs = _columns(prob.bounds, n)
+    n_std = len(src)
 
-    rows: list[tuple[np.ndarray, str, float]] = []
-    for coeffs, rel, rhs in prob.rows:
-        arr = np.zeros(n_std)
-        shift = 0.0
-        for i in range(prob.n_vars):
-            a = coeffs[i]
-            if a == 0.0:
-                continue
-            shift += a * col_const[i]
-            for j, cf in col_terms[i]:
-                arr[j] += a * cf
-        rows.append((arr, rel, rhs - shift))
-    for terms, rel, rhs in extra_rows:
-        arr = np.zeros(n_std)
-        for j, cf in terms:
-            arr[j] = cf
-        rows.append((arr, rel, rhs))
-
-    obj = np.zeros(n_std)
-    obj_const = prob.objective_offset
-    for i in range(prob.n_vars):
-        a = prob.objective[i]
-        if a == 0.0:
-            continue
-        obj_const += a * col_const[i]
-        for j, cf in col_terms[i]:
-            obj[j] += a * cf
-
-    m = len(rows)
+    # rows: the problem's rows in standard columns, then one cap row per box
+    m0 = len(prob.rows)
+    m = m0 + len(capped)
+    A0 = np.array([coeffs for coeffs, _, _ in prob.rows]).reshape(m0, n)
+    b = np.concatenate([[rhs for _, _, rhs in prob.rows] - A0 @ const, cap_rhs])
+    sense = np.array([_SENSE[rel] for _, rel, _ in prob.rows] + [1] * len(capped))
     if max_iterations is None:
         max_iterations = 50 * (n_std + m + 1)
+    # make every rhs nonnegative, flipping <= and >= on negated rows
+    neg = np.flatnonzero(b < 0)
+    b[neg] = -b[neg]
+    sense[neg] = -sense[neg]
 
     # assemble: columns = structural | slack/surplus | artificial | rhs
-    n_slack = sum(1 for _, rel, _ in rows)  # at most one slack/surplus per row
-    A = np.zeros((m, n_std + n_slack))
-    b = np.zeros(m)
-    slack_col = n_std
-    art_rows = []
-    for i, (arr, rel, rhs) in enumerate(rows):
-        if rhs < 0:
-            arr = -arr
-            rhs = -rhs
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-        A[i, :n_std] = arr
-        b[i] = rhs
-        if rel == "<=":
-            A[i, slack_col] = 1.0
-        elif rel == ">=":
-            A[i, slack_col] = -1.0
-            art_rows.append(i)
-        else:
-            art_rows.append(i)
-        slack_col += 1
-    n_art = len(art_rows)
-    total = n_std + n_slack + n_art
+    slack_rows = np.flatnonzero(sense != 0)
+    art_rows = np.flatnonzero(sense != 1)
+    art_start = n_std + len(slack_rows)
+    total = art_start + len(art_rows)
+    slack_cols = np.arange(n_std, art_start)
+    art_cols = np.arange(art_start, total)
     tab = np.zeros((m + 1, total + 1))
-    tab[:m, : n_std + n_slack] = A
+    tab[:m0, :n_std] = A0[:, src] * sign
+    tab[m0 + np.arange(len(capped)), np.searchsorted(src, capped)] = 1.0
+    tab[neg, :n_std] = -tab[neg, :n_std]
     tab[:m, -1] = b
-    basis = np.full(m, -1, dtype=int)
-    for i in range(m):
-        # rows with a +1 slack start basic on the slack
-        j = n_std + i
-        if A[i, j] == 1.0:
-            basis[i] = j
-    for k, i in enumerate(art_rows):
-        j = n_std + n_slack + k
-        tab[i, j] = 1.0
-        basis[i] = j
+    tab[slack_rows, slack_cols] = sense[slack_rows]
+    tab[art_rows, art_cols] = 1.0
+    # <= rows start basic on their slack, = and >= rows on their artificial
+    basis = np.empty(m, dtype=int)
+    basis[slack_rows] = slack_cols
+    basis[art_rows] = art_cols
 
     iters = 0
     allowed = np.ones(total, dtype=bool)
-    if n_art:
+    if len(art_rows):
         # phase 1: minimize sum of artificials
-        tab[-1, n_std + n_slack : total] = 1.0
+        tab[-1, art_start:total] = 1.0
         for i in art_rows:
             tab[-1] -= tab[i]
         status, iters = _simplex_phase(tab, basis, iters, max_iterations, allowed)
@@ -268,7 +218,6 @@ def lp_solve(prob: LpProblem, max_iterations: int | None = None) -> LpSolution:
         if phase1 > TOL_LP_FEAS:
             return LpSolution(LpStatus.INFEASIBLE, iterations=iters)
         # drive leftover artificials out of the basis
-        art_start = n_std + n_slack
         for i in range(m):
             if basis[i] >= art_start:
                 pivots = np.where(np.abs(tab[i, :art_start]) > _PIVOT_TOL)[0]
@@ -279,10 +228,10 @@ def lp_solve(prob: LpProblem, max_iterations: int | None = None) -> LpSolution:
 
     # phase 2: maximize obj -> minimize -obj; rebuild the cost row
     tab[-1, :] = 0.0
-    tab[-1, :n_std] = -obj
+    tab[-1, :n_std] = -(prob.objective[src] * sign)
     for i in range(m):
         j = basis[i]
-        if j >= 0 and abs(tab[-1, j]) > 0:
+        if abs(tab[-1, j]) > 0:
             tab[-1] -= tab[-1, j] * tab[i]
     status, iters = _simplex_phase(tab, basis, iters, max_iterations, allowed)
     if status == "iteration_limit":
@@ -291,9 +240,7 @@ def lp_solve(prob: LpProblem, max_iterations: int | None = None) -> LpSolution:
         return LpSolution(LpStatus.UNBOUNDED, iterations=iters)
 
     x_std = np.zeros(total)
-    x_std[basis[basis >= 0]] = tab[np.where(basis >= 0)[0], -1]
-    x = np.empty(prob.n_vars)
-    for i in range(prob.n_vars):
-        x[i] = col_const[i] + sum(cf * x_std[j] for j, cf in col_terms[i])
+    x_std[basis] = tab[:m, -1]
+    x = const + np.bincount(src, sign * x_std[:n_std], minlength=n)
     value = float(prob.objective @ x) + prob.objective_offset
     return LpSolution(LpStatus.OPTIMAL, x=x, objective_value=value, iterations=iters)

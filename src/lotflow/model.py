@@ -25,16 +25,31 @@ import numpy as np
 TOL_ZERO = 1e-7
 # absolute tolerance for constraint checks
 TOL_FEAS = 1e-6
-# relative tolerance for the objective identity
-TOL_EVAL = 1e-9
 
 
 class InputError(ValueError):
     """Raised for malformed instances, plans or operation arguments."""
 
 
+def _as_number(name: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{name} must be a number, got {value!r}") from exc
+
+
+def _as_int(name: str, value) -> int:
+    number = _as_number(name, value)
+    if not number.is_integer():
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _as_vector(name: str, values, T: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} must be a vector of numbers: {exc}") from exc
     if arr.shape != (T,):
         raise InputError(f"{name} must have exactly {T} entries, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -62,16 +77,18 @@ class Instance:
     beta: float = 0.0
 
     def __post_init__(self):
-        if int(self.T) < 1:
+        object.__setattr__(self, "T", _as_int("T", self.T))
+        if self.T < 1:
             raise InputError("T must be >= 1")
-        object.__setattr__(self, "T", int(self.T))
         for name in ("d", "p", "c", "h", "s"):
             vec = _as_vector(name, getattr(self, name), self.T)
             vec.setflags(write=False)
             object.__setattr__(self, name, vec)
-        for name in ("Bc", "BL", "r"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "TL", int(self.TL))
+        for name in ("Bc", "BL", "r", "beta"):
+            object.__setattr__(self, name, _as_number(name, getattr(self, name)))
+        object.__setattr__(self, "TL", _as_int("TL", self.TL))
+        if not all(map(math.isfinite, (self.Bc, self.BL, self.r))):
+            raise InputError("Bc, BL, r must be finite")
         if np.any(self.d < 0) or np.any(self.p < 0) or np.any(self.h < 0) or np.any(self.s < 0):
             raise InputError("d, p, h, s must be nonnegative")
         if np.any(self.c <= 0):
@@ -82,6 +99,12 @@ class Instance:
             raise InputError("beta must lie in [0, 1]")
         if self.BL > 0 and not 1 <= self.TL <= self.T:
             raise InputError("with BL > 0, TL must satisfy 1 <= TL <= T")
+        try:
+            finite = math.isfinite(self.B0) and math.isfinite(self.repayment)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise InputError("Bc + BL and the loan repayment must be finite")
 
     @property
     def B0(self) -> float:

@@ -312,10 +312,9 @@ def solve_round(inst: Instance, spec: RoundSpec,
     return _reconstruct(inst, spec, sol3.x, sol3.objective_value, "sub2+sub3", count)
 
 
-def enumerate_round_specs(inst: Instance, m: int, n: int,
-                          prev_cycle: int | None = None,
-                          entry=None) -> list:
-    """Candidate round layouts for a new cycle starting at period m.
+def round_spec(inst: Instance, m: int, n: int,
+               prev_cycle: int | None = None, entry=None) -> RoundSpec:
+    """The round layout for a new cycle starting at period m.
 
     With zero goodwill loss a round is always the single cycle [m, n]. With
     goodwill loss, a round joins the nearest previous production cycle (when
@@ -323,17 +322,15 @@ def enumerate_round_specs(inst: Instance, m: int, n: int,
     be re-optimized against the lost-sales carryover.
 
     ``entry`` maps a round start period t0 to the (capital, lost sales) state
-    at the end of period t0 - 1 along the committed plan.
+    at the end of period t0 - 1 along the committed plan; without it the
+    round enters with ``(inst.B0, 0.0)``.
     """
     if not 1 <= m <= n <= inst.T:
         raise ValueError("need 1 <= m <= n <= T")
-    if entry is None:
-        entry = lambda t0: (inst.B0, 0.0) if t0 == 1 else (inst.B0, 0.0)
-    if inst.beta == 0 or prev_cycle is None:
-        B_in, w_in = entry(m)
-        return [RoundSpec(m=m, n=n, cycle_starts=(m,), B_in=B_in, w_in=w_in)]
-    if not 1 <= prev_cycle < m:
-        raise ValueError("prev_cycle must precede m")
-    B_in, w_in = entry(prev_cycle)
-    return [RoundSpec(m=prev_cycle, n=n, cycle_starts=(prev_cycle, m),
-                      B_in=B_in, w_in=w_in)]
+    starts = (m,)
+    if inst.beta != 0 and prev_cycle is not None:
+        if not 1 <= prev_cycle < m:
+            raise ValueError("prev_cycle must precede m")
+        starts = (prev_cycle, m)
+    B_in, w_in = entry(starts[0]) if entry is not None else (inst.B0, 0.0)
+    return RoundSpec(m=starts[0], n=n, cycle_starts=starts, B_in=B_in, w_in=w_in)

@@ -173,6 +173,39 @@ def random_bounded_lp(rng: np.random.Generator) -> LpProblem:
     return prob
 
 
+def random_general_lp(rng: np.random.Generator) -> LpProblem:
+    """Feasible, bounded LP over every bound kind the simplex standardizes.
+
+    Each variable gets either a box with a nonzero lower bound or only an
+    upper bound, ``(-inf, hi)``, with a positive objective coefficient so the
+    optimum stays finite. Rows of all three relations pass through a feasible
+    anchor point.
+    """
+    n = int(rng.integers(2, 5))
+    obj = rng.uniform(-3.0, 3.0, n)
+    prob = LpProblem(n_vars=n, objective=obj,
+                     objective_offset=float(rng.uniform(-5.0, 5.0)))
+    bounds, x0 = [], np.empty(n)
+    for j in range(n):
+        if rng.random() < 0.5:
+            lo = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 5.0))
+            hi = lo + float(rng.uniform(1.0, 10.0))
+            x0[j] = rng.uniform(lo, hi)
+        else:
+            lo, hi = -math.inf, float(rng.uniform(-5.0, 5.0))
+            obj[j] = abs(obj[j]) + 0.1
+            x0[j] = hi - rng.uniform(0.0, 5.0)
+        bounds.append((lo, hi))
+    prob.bounds = bounds
+    for rel in ("=", ">=") + tuple(rng.choice(["<=", "=", ">="],
+                                              int(rng.integers(0, 3)))):
+        coeffs = rng.uniform(-2.0, 2.0, n)
+        gap = float(rng.uniform(0.0, 4.0))
+        rhs = float(coeffs @ x0) + {"<=": gap, "=": 0.0, ">=": -gap}[rel]
+        prob.add_row(coeffs, rel, rhs)
+    return prob
+
+
 def random_infeasible_lp(rng: np.random.Generator) -> LpProblem:
     """Bounded LP plus a row that contradicts the nonnegativity bounds."""
     prob = random_bounded_lp(rng)

@@ -2,11 +2,18 @@
 
 import csv
 import json
+import math
 
 import pytest
 
 from lotflow import gen_table1
 from lotflow.cli import main
+
+
+# a three-period instance with a loan, as read from an instance file
+LOAN_INSTANCE = {"T": 3, "d": [30, 40, 20], "p": [21, 21, 21], "c": [5, 5, 5],
+                 "h": [1, 1, 1], "s": [100, 100, 100], "Bc": 200.0,
+                 "BL": 300.0, "TL": 2, "r": 0.05, "beta": 0.5}
 
 
 def write_instance(tmp_path, inst, name="inst.json"):
@@ -43,6 +50,30 @@ class TestSolve:
         code = main(["solve", "--engine", "frh", "--in", str(path),
                      "--out", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize("fields", [
+        {"T": "x"},
+        {"d": ["a", 40, 20]},
+        {"Bc": math.nan},
+        {"Bc": math.inf},
+        {"r": 1e308},
+        {"Bc": 1e308, "BL": 1e308},
+        {"T": 3.7},
+        {"TL": 1.9},
+    ], ids=repr)
+    def test_invalid_field_exit_code(self, tmp_path, fields):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**LOAN_INSTANCE, **fields}), encoding="utf-8")
+        code = main(["solve", "--engine", "frh", "--in", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+
+    def test_integral_float_horizon_accepted(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({**LOAN_INSTANCE, "T": 3.0}), encoding="utf-8")
+        code = main(["solve", "--engine", "frh", "--in", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
 
     def test_missing_file_exit_code(self, tmp_path):
         code = main(["solve", "--engine", "frh",
@@ -114,6 +145,13 @@ class TestBench:
         assert summary["scheme"] == "table2"
         assert summary["cases"] == 6
         assert (out / "summary.csv").exists()
+
+    @pytest.mark.parametrize("max_cases", ["0", "-3"])
+    def test_max_cases_below_one_rejected(self, tmp_path, max_cases):
+        out = tmp_path / "bench"
+        assert main(["bench", "--scheme", "table2", "--seed", "4",
+                     "--max-cases", max_cases, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_oracle_skipped_beyond_guard(self, tmp_path):
         # the bundled grids use T >= 12, above the default enumeration cap,

@@ -7,7 +7,7 @@ import pytest
 
 from lotflow.lp import LpProblem, LpStatus, lp_solve
 
-from helpers import (random_bounded_lp, random_infeasible_lp,
+from helpers import (random_bounded_lp, random_general_lp, random_infeasible_lp,
                      random_unbounded_lp, vertex_solve)
 
 
@@ -112,6 +112,23 @@ def test_matches_vertex_enumeration_sample():
         assert sol.status is LpStatus.OPTIMAL
         assert ref is not None
         assert sol.objective_value == pytest.approx(ref, rel=1e-6, abs=1e-6)
+
+
+def test_general_bounds_match_vertex_enumeration():
+    # upper-only and shifted boxes under =/>= rows, and an emptied box
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        prob = random_general_lp(rng)
+        sol = lp_solve(prob)
+        ref, _ = vertex_solve(prob)
+        assert sol.status is LpStatus.OPTIMAL
+        assert ref is not None
+        assert sol.objective_value == pytest.approx(ref, rel=1e-6, abs=1e-6)
+        j = int(rng.integers(0, prob.n_vars))
+        hi = prob.bounds[j][1]
+        prob.bounds[j] = (hi, hi - 1.0)
+        assert lp_solve(prob).status is LpStatus.INFEASIBLE
+        assert vertex_solve(prob) == (None, None)
 
 
 def test_status_families():

@@ -1,4 +1,4 @@
-"""Production-round sub-LP cascade and round layout enumeration."""
+"""Production-round sub-LP cascade and round layouts."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,8 @@ import pytest
 from lotflow import Instance, Plan, evaluate_plan
 from lotflow.lp import LpStatus, lp_solve
 from lotflow.rounds import (FEASIBLE, INFEASIBLE, RoundSpec, build_psub1,
-                            build_psub2, build_psub3, enumerate_round_specs,
-                            infer_deltas, solve_round)
+                            build_psub2, build_psub3, infer_deltas,
+                            round_spec, solve_round)
 
 
 def single_period_instance():
@@ -121,35 +121,34 @@ class TestRoundSolutionShape:
 
 
 class TestEnumerateRoundSpecs:
+    """The round layout ``round_spec`` picks for each window (m, n)."""
+
     def test_zero_beta_single_cycle(self):
         inst = Instance(T=8, d=[10] * 8, p=[20] * 8, c=[5] * 8, h=[1] * 8,
                         s=[50] * 8, Bc=500.0, beta=0.0)
-        specs = enumerate_round_specs(inst, 3, 7)
-        assert len(specs) == 1
-        assert specs[0].cycle_starts == (3,)
-        assert (specs[0].m, specs[0].n) == (3, 7)
+        spec = round_spec(inst, 3, 7)
+        assert spec.cycle_starts == (3,)
+        assert (spec.m, spec.n) == (3, 7)
 
     def test_goodwill_joins_nearest_previous_cycle(self):
         inst = Instance(T=8, d=[10] * 8, p=[20] * 8, c=[5] * 8, h=[1] * 8,
                         s=[50] * 8, Bc=500.0, beta=0.5)
-        specs = enumerate_round_specs(inst, 5, 8, prev_cycle=2,
-                                      entry=lambda t0: (500.0, 0.0))
-        assert len(specs) == 1
-        assert specs[0].m == 2
-        assert specs[0].cycle_starts == (2, 5)
+        spec = round_spec(inst, 5, 8, prev_cycle=2,
+                          entry=lambda t0: (500.0, 0.0))
+        assert spec.m == 2
+        assert spec.cycle_starts == (2, 5)
 
     def test_goodwill_without_previous_cycle(self):
         inst = Instance(T=4, d=[10] * 4, p=[20] * 4, c=[5] * 4, h=[1] * 4,
                         s=[50] * 4, Bc=500.0, beta=0.5)
-        specs = enumerate_round_specs(inst, 1, 4)
-        assert len(specs) == 1
-        assert specs[0].cycle_starts == (1,)
+        spec = round_spec(inst, 1, 4)
+        assert spec.cycle_starts == (1,)
 
     def test_invalid_window_rejected(self):
         inst = Instance(T=4, d=[10] * 4, p=[20] * 4, c=[5] * 4, h=[1] * 4,
                         s=[50] * 4, Bc=500.0)
         with pytest.raises(ValueError):
-            enumerate_round_specs(inst, 3, 2)
+            round_spec(inst, 3, 2)
 
 
 class TestSpecValidation:

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Deviation study: heuristic vs exhaustive oracle on random small instances.
+"""Deviation study: heuristic vs exact branch-and-bound oracle.
 
-Prints per-beta deviation statistics (mean / max relative gap) so the
-heuristic's accuracy can be inspected beyond the acceptance thresholds.
+On random small instances, prints per-beta deviation statistics (mean / max
+relative gap) so the heuristic's accuracy can be inspected beyond the
+acceptance thresholds.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import time
 
 import numpy as np
 
-from lotflow import gen_random_small, solve_exact, solve_frh
+from lotflow import OracleConfig, gen_random_small, solve_exact, solve_frh
 
 
 def main() -> int:
@@ -20,6 +21,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=9000)
     parser.add_argument("--max-T", type=int, default=6)
     args = parser.parse_args()
+    if args.max_T < 2:
+        parser.error(f"--max-T must be at least 2, got {args.max_T}")
 
     betas = (0.0, 0.1, 0.5)
     devs: dict = {b: [] for b in betas}
@@ -31,7 +34,7 @@ def main() -> int:
                                 constant_c=(i % 2 == 0),
                                 with_loan=(i % 4 == 0))
         heur = solve_frh(inst)
-        exact = solve_exact(inst)
+        exact = solve_exact(inst, OracleConfig(max_T=args.max_T))
         gap = exact.objective - heur.objective
         devs[beta].append(max(0.0, gap / max(abs(exact.objective), 1e-12)))
     elapsed = time.perf_counter() - start

@@ -23,7 +23,7 @@ from .frh import Solution, solve_frh
 from .generators import (Table2Config, Table5Config, gen_random_small,
                          gen_table1, gen_table2, gen_table5, grid_table2,
                          grid_table5, instance_filename)
-from .lp import LpNumericalError
+from .lp import LpError, LpNumericalError
 from .model import Instance, InputError, trajectory_to_csv
 from .oracle import OracleConfig, OracleGuardError, solve_exact
 
@@ -160,7 +160,7 @@ def _bench_one(payload):
             row["oracle_objective"] = exact.objective
             gap = exact.objective - sol.objective
             row["deviation"] = max(0.0, gap / max(abs(exact.objective), 1e-12))
-    except (LpNumericalError, InputError, OracleGuardError) as exc:
+    except (LpNumericalError, LpError, InputError, OracleGuardError) as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
         row.setdefault("frh_time", float("nan"))
         row.setdefault("frh_objective", None)
@@ -218,6 +218,9 @@ def cmd_gen(args) -> int:
         gen = gen_table2 if args.scheme == "table2" else gen_table5
         grid = grid_table2(args.seed) if args.scheme == "table2" else grid_table5(args.seed)
         if not args.grid:
+            if not 0 <= args.index < len(grid):
+                raise InputError(f"--index must lie in 0..{len(grid) - 1}, "
+                                 f"got {args.index}")
             grid = grid[args.index : args.index + 1]
             offset = args.index
         else:
@@ -278,7 +281,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, LpError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OracleGuardError as exc:

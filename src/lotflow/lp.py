@@ -152,6 +152,9 @@ def _simplex_phase(tab: np.ndarray, basis: np.ndarray, iters: int,
         ratios = tab[positive, -1] / colvec[positive]
         best = ratios.min()
         ties = positive[ratios <= best + 1e-12]
+        if ties.size == 0:
+            # only NaN ratios leave no row to pivot out
+            return "iteration_limit", iters
         # among tied rows, pivot out the basic variable of lowest index
         row = int(ties[np.argmin(basis[ties])])
         _pivot(tab, basis, row, col)

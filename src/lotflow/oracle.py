@@ -1,9 +1,19 @@
-"""Exact ground-truth solver by exhaustive enumeration at small horizons.
+"""Exact ground-truth solver by branch and bound at small horizons.
 
-Both binary decisions per period (setup on/off, demand surviving the goodwill
-shrink or not) are enumerated, so every residual problem is a plain LP in the
-continuous variables. No big-M constants appear anywhere. Infeasible binary
-patterns are pruned cheaply before the LP is built.
+Each period carries two binary decisions: the setup, and whether its demand
+survives the goodwill shrink. The survival patterns that can occur are listed
+up front (infeasible ones are pruned before any LP is built). For each one, a
+depth-first branch and bound fixes the setups in period order, and all
+patterns share one incumbent. At a node of depth ``k`` the setups of periods
+before ``k`` are fixed; later periods may still produce, with their setup
+cost dropped. Setup costs are nonnegative, so that LP relaxes every
+completion of the node and its optimum bounds them from above. Every LP is
+in the continuous variables alone: no big-M constants appear anywhere.
+
+A node is pruned when its LP is infeasible or its bound cannot beat the
+incumbent. When no undecided period produces in a node's optimum, the
+completion with those setups off attains the bound, so that leaf is its only
+child. Plans come from leaves only, where every setup is fixed.
 """
 
 from __future__ import annotations
@@ -21,6 +31,10 @@ from .model import Instance, Plan, evaluate_plan
 
 class OracleGuardError(ValueError):
     """Instance horizon exceeds the enumeration guard."""
+
+
+# a node's LP produces in a period when its y exceeds this
+_PRODUCES = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,18 +66,24 @@ def _delta_patterns(inst: Instance):
     return patterns
 
 
-def _combo_lp(inst: Instance, x: np.ndarray, delta: np.ndarray) -> LpProblem:
-    """LP over (y, v, w, Ed, I, B) for fixed binaries."""
+def _combo_lp(inst: Instance, x: np.ndarray, delta: np.ndarray,
+              k: int) -> LpProblem:
+    """LP over (y, v, w, Ed, I, B) for a survival pattern and a search node.
+
+    The setups of periods before ``k`` are fixed to ``x``; periods from ``k``
+    on may produce without paying their setup cost.
+    """
     T = inst.T
+    x = np.where(np.arange(T) < k, x, 0)
     # variable layout
-    Y, V, W, E, Iv, Bv = (np.arange(T) + k * T for k in range(6))
+    Y, V, W, E, Iv, Bv = (np.arange(T) + i * T for i in range(6))
     n = 6 * T
     obj = np.zeros(n)
     obj[Bv[T - 1]] = 1.0
     prob = LpProblem(n_vars=n, objective=obj,
                      objective_offset=-inst.B0)
     bounds = [(0.0, math.inf)] * n
-    for t in range(T):
+    for t in range(k):
         if x[t] == 0:
             bounds[Y[t]] = (0.0, 0.0)
     prob.bounds = bounds
@@ -107,30 +127,68 @@ def _combo_lp(inst: Instance, x: np.ndarray, delta: np.ndarray) -> LpProblem:
     return prob
 
 
+def _beats(bound: float, incumbent: float) -> bool:
+    """Whether a node bound can still improve on the incumbent value."""
+    if incumbent == -math.inf:
+        return True
+    return bound > incumbent + 1e-10 * max(1.0, abs(incumbent))
+
+
+def _setup_on(x: np.ndarray, t: int) -> np.ndarray:
+    on = x.copy()
+    on[t] = 1
+    return on
+
+
 def solve_exact(inst: Instance, cfg: OracleConfig | None = None) -> Solution:
-    """Enumerate all binary patterns and return the best feasible plan."""
+    """Branch and bound over the setups; return the best feasible plan.
+
+    The search never consults the heuristic, so it can judge the heuristic.
+    """
     cfg = cfg or OracleConfig()
     if inst.T > cfg.max_T:
         raise OracleGuardError(
             f"T={inst.T} exceeds the enumeration guard max_T={cfg.max_T}")
     T = inst.T
-    deltas = _delta_patterns(inst)
     best_val = -math.inf
     best_plan: Plan | None = None
     lp_count = 0
-    for xbits in product((0, 1), repeat=T):
-        x = np.array(xbits, dtype=int)
-        for delta in deltas:
-            prob = _combo_lp(inst, x, delta)
+    for delta in _delta_patterns(inst):
+        # a node is (depth k, setups of the periods before k); the node
+        # pushed last is searched first
+        stack = [(0, np.zeros(T, dtype=int))]
+        while stack:
+            k, x = stack.pop()
+            sol = lp_solve(_combo_lp(inst, x, delta, k))
             lp_count += 1
-            sol = lp_solve(prob)
             if sol.status is LpStatus.NUMERICAL_FAILURE:
                 raise LpNumericalError("oracle sub-LP hit the iteration limit")
-            if sol.status is not LpStatus.OPTIMAL:
+            if sol.status is LpStatus.UNBOUNDED:
+                # capital caps production and demand caps sales
+                raise LpNumericalError("oracle sub-LP unexpectedly unbounded")
+            if (sol.status is not LpStatus.OPTIMAL
+                    or not _beats(sol.objective_value, best_val)):
                 continue
-            if sol.objective_value > best_val + 1e-12:
+            y = sol.x[:T]
+            if k == T:
                 best_val = sol.objective_value
-                best_plan = Plan(sol.x[:T].copy(), sol.x[T : 2 * T].copy())
+                best_plan = Plan(y.copy(), sol.x[T : 2 * T].copy())
+                continue
+            producing = np.flatnonzero(y[k:] > _PRODUCES)
+            if producing.size == 0:
+                # the completion with the undecided setups off attains this
+                # bound, so it is the only child worth a look
+                stack.append((T, x))
+                continue
+            # Up to the first producing period j, the x_t = 0 children keep
+            # this optimum, so they are descended without an LP of their
+            # own and only their x_t = 1 siblings are queued. Period j then
+            # branches with its setup on first.
+            j = k + int(producing[0])
+            for t in range(k, j):
+                stack.append((t + 1, _setup_on(x, t)))
+            stack.append((j + 1, x))
+            stack.append((j + 1, _setup_on(x, j)))
     if best_plan is None:
         # nothing feasible, not even idling: report the null plan
         traj = evaluate_plan(inst, Plan.null(T))

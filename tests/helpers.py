@@ -4,9 +4,13 @@
 (every n-subset of the tight constraint candidates), giving an independent
 optimum to check the simplex implementation against.
 
+``enumerate_solve`` is the exact oracle without the search: one LP per
+setup pattern and survival pattern, 2^T x |patterns| in all, as a reference
+for the branch and bound in ``lotflow.oracle``.
+
 ``milp_solve`` states the whole lot-sizing model as one mixed-integer
 program and hands it to ``scipy.optimize.milp`` (HiGHS), giving an optimum
-that shares no code with the heuristic or the enumeration oracle. scipy is a
+that shares no code with the heuristic or the exact oracle. scipy is a
 test-only dependency; import this helper's callers behind
 ``pytest.importorskip("scipy.optimize")``.
 """
@@ -14,12 +18,15 @@ test-only dependency; import this helper's callers behind
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
-from lotflow.lp import LpProblem
-from lotflow.model import Instance, Plan
+from lotflow.frh import Solution
+from lotflow.lp import LpNumericalError, LpProblem, LpStatus, lp_solve
+from lotflow.model import Instance, Plan, evaluate_plan
+from lotflow.oracle import (OracleConfig, OracleGuardError, _combo_lp,
+                            _delta_patterns)
 
 VERTEX_FEAS_TOL = 1e-7
 
@@ -78,6 +85,38 @@ def vertex_solve(prob: LpProblem):
             if best is None or val > best:
                 best, arg = val, x
     return best, arg
+
+
+def enumerate_solve(inst: Instance, cfg: OracleConfig | None = None) -> Solution:
+    """Solve every setup and survival pattern; return the best feasible plan."""
+    cfg = cfg or OracleConfig()
+    if inst.T > cfg.max_T:
+        raise OracleGuardError(
+            f"T={inst.T} exceeds the enumeration guard max_T={cfg.max_T}")
+    T = inst.T
+    deltas = _delta_patterns(inst)
+    best_val = -math.inf
+    best_plan: Plan | None = None
+    lp_count = 0
+    for xbits in product((0, 1), repeat=T):
+        x = np.array(xbits, dtype=int)
+        for delta in deltas:
+            prob = _combo_lp(inst, x, delta, T)
+            lp_count += 1
+            sol = lp_solve(prob)
+            if sol.status is LpStatus.NUMERICAL_FAILURE:
+                raise LpNumericalError("oracle sub-LP hit the iteration limit")
+            if sol.status is not LpStatus.OPTIMAL:
+                continue
+            if sol.objective_value > best_val + 1e-12:
+                best_val = sol.objective_value
+                best_plan = Plan(sol.x[:T].copy(), sol.x[T : 2 * T].copy())
+    if best_plan is None:
+        traj = evaluate_plan(inst, Plan.null(T))
+        return Solution(trajectory=traj, objective=traj.objective,
+                        lp_count=lp_count, degenerate=True)
+    traj = evaluate_plan(inst, best_plan)
+    return Solution(trajectory=traj, objective=traj.objective, lp_count=lp_count)
 
 
 def milp_solve(inst: Instance):

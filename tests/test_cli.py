@@ -4,6 +4,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from lotflow import gen_table1
@@ -67,6 +68,20 @@ class TestSolve:
         code = main(["solve", "--engine", "frh", "--in", str(path),
                      "--out", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize("field, engine", [
+        ("p", "frh"), ("p", "oracle"), ("h", "oracle")])
+    def test_overflowing_input_exit_code(self, tmp_path, field, engine):
+        # vectors of 1e308 overflow the LP rows: a nonfinite rhs is an input
+        # error, NaN pivots a numerical failure, never an uncaught exception
+        inst = {"T": 3, "d": [30, 40, 50], "p": [21] * 3, "c": [5] * 3,
+                "h": [1] * 3, "s": [100] * 3, "Bc": 500.0, field: [1e308] * 3}
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(inst), encoding="utf-8")
+        with np.errstate(all="ignore"):
+            code = main(["solve", "--engine", engine, "--in", str(path),
+                         "--out", str(tmp_path / "out")])
+        assert code in (2, 4)
 
     def test_integral_float_horizon_accepted(self, tmp_path):
         path = tmp_path / "inst.json"
@@ -134,6 +149,14 @@ class TestGen:
         assert len(files) == 1
 
 
+    @pytest.mark.parametrize("index", ["5000", "-1"])
+    def test_index_outside_grid_rejected(self, tmp_path, index):
+        out = tmp_path / "inst"
+        assert main(["gen", "--scheme", "table2", "--seed", "1",
+                     "--index", index, "--out", str(out)]) == 2
+        assert not list(out.glob("*.json"))
+
+
 class TestBench:
     def test_small_benchmark_report(self, tmp_path):
         out = tmp_path / "bench"
@@ -170,6 +193,14 @@ class TestBench:
         assert row["oracle_objective"] is not None
         assert row["deviation"] >= 0.0
         assert row["error"] is None
+
+    def test_bench_row_records_lp_input_error(self):
+        from lotflow.cli import _bench_one
+        inst = {"T": 3, "d": [30, 40, 50], "p": [1e308] * 3, "c": [5] * 3,
+                "h": [1] * 3, "s": [100] * 3, "Bc": 500.0}
+        with np.errstate(all="ignore"):
+            row = _bench_one((0, inst, {}, False, 8))
+        assert row["error"].startswith("LpError")
 
     def test_aggregates_match_rows(self, tmp_path):
         out = tmp_path / "bench"

@@ -74,6 +74,17 @@ def test_unbounded_status():
     assert sol.status is LpStatus.UNBOUNDED
 
 
+def test_nan_ratios_are_a_numerical_failure():
+    # 1e308 * 1e308 overflows while pivoting; the NaN ratios it leaves tie
+    # with no row, which ends the solve as an iteration-limit failure
+    prob = LpProblem(n_vars=2, objective=[-1.0, 1e308])
+    prob.add_row([1.0, 1.0], "=", 1.0)
+    prob.add_row([-1e308, 1e308], "<=", 1e308)
+    with np.errstate(all="ignore"):
+        sol = lp_solve(prob)
+    assert sol.status is LpStatus.NUMERICAL_FAILURE
+
+
 def test_degenerate_problem_terminates():
     # many redundant rows through the same vertex (stresses the anti-cycling
     # fallback pivot rule)

@@ -1,4 +1,6 @@
-"""Exhaustive enumeration oracle: guards, hand-checked optima, structure."""
+"""Exact oracle: guards, hand-checked optima, structure, references."""
+
+from itertools import count
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from lotflow import (Instance, OracleConfig, OracleGuardError,
                      gen_table1, solve_exact, solve_frh)
 from lotflow.oracle import _delta_patterns, deviation
 
-from helpers import milp_solve
+from helpers import enumerate_solve, milp_solve
 from test_acceptance import CAPITAL_POINTS
 
 
@@ -103,6 +105,73 @@ class TestDeviation:
     def test_deviation_zero_when_heuristic_optimal(self):
         inst = gen_random_small(seed=13, T=4, beta=0.0, constant_c=True)
         assert deviation(inst) <= 1e-9
+
+
+BB_BETAS = (0.0, 0.5, 0.9, 1.0)
+
+
+def _first_dying_draw(beta, T=5, seed=2100):
+    """First seeded draw with a period whose demand can die."""
+    for k in count(seed):
+        inst = gen_random_small(seed=k, T=T, beta=beta, with_loan=k % 2 == 0)
+        if len(_delta_patterns(inst)) > 1:
+            return inst
+
+
+# Every T in 2..8 and every beta appears with and without a loan. The
+# reference costs 2^T x |patterns| LPs, so each (T, beta) pair is drawn once.
+BB_DRAWS = [gen_random_small(seed=2000 + i, T=2 + i % 7, beta=BB_BETAS[i % 4],
+                             with_loan=i >= 7) for i in range(14)]
+BB_DRAWS += [_first_dying_draw(beta) for beta in BB_BETAS[1:]]
+BB_IDS = [f"{i}-T{inst.T}-b{inst.beta:g}-{'loan' if inst.BL > 0 else 'noloan'}"
+          for i, inst in enumerate(BB_DRAWS)]
+
+
+class TestBranchAndBound:
+    """The search returns the optimum that solving every pattern finds."""
+
+    def test_draws_cover_horizons_betas_loans_and_dying_demand(self):
+        cells = {(inst.T, inst.beta, inst.BL > 0) for inst in BB_DRAWS}
+        for loan in (False, True):
+            assert {T for T, _, L in cells if L == loan} == set(range(2, 9))
+            assert {b for _, b, L in cells if L == loan} == set(BB_BETAS)
+        dying = {inst.beta for inst in BB_DRAWS
+                 if len(_delta_patterns(inst)) > 1}
+        assert dying == set(BB_BETAS[1:])
+
+    @pytest.mark.parametrize("inst", BB_DRAWS, ids=BB_IDS)
+    def test_matches_enumeration(self, inst):
+        ref = enumerate_solve(inst)
+        sol = solve_exact(inst)
+        assert sol.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+        assert sol.degenerate == ref.degenerate
+        assert check_feasibility(inst, sol.trajectory).feasible
+
+    def test_setup_where_the_relaxation_idles(self):
+        # without setup costs, period 2's cheap units serve its demand, so
+        # the root LP idles in period 1; with them, producing early wins:
+        # 200 - 10 - 5*10 - 1*10 = 130 against 200 - 100 - 1*10 = 90
+        inst = Instance(T=2, d=[0, 10], p=[0, 20], c=[5, 1], h=[1, 1],
+                        s=[10, 100], Bc=500.0)
+        sol = solve_exact(inst)
+        assert sol.objective == pytest.approx(130.0)
+        assert list(sol.trajectory.x) == [1, 0]
+        assert sol.objective == pytest.approx(enumerate_solve(inst).objective,
+                                              rel=1e-9, abs=1e-9)
+
+    def test_nothing_feasible_matches_enumeration(self):
+        # the repayment of 150 after period 1 exceeds all 100 of capital,
+        # so even idling is infeasible
+        inst = Instance(T=2, d=[10, 10], p=[1, 1], c=[5, 5], h=[1, 1],
+                        s=[100, 100], Bc=0.0, BL=100.0, TL=1, r=0.5)
+        for sol in (enumerate_solve(inst), solve_exact(inst)):
+            assert sol.objective == pytest.approx(-150.0)
+            assert sol.degenerate
+
+    def test_solves_fewer_lps_than_enumeration(self):
+        inst = next(inst for inst in BB_DRAWS if inst.T == 8)
+        sol = solve_exact(inst)
+        assert sol.lp_count < 2 ** inst.T * len(_delta_patterns(inst))
 
 
 class TestMilpReference:

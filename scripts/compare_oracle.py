@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from lotflow import OracleConfig, gen_random_small, solve_exact, solve_frh
+from lotflow import OracleConfig, deviation, gen_random_small
 
 
 def main() -> int:
@@ -21,6 +21,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=9000)
     parser.add_argument("--max-T", type=int, default=6)
     args = parser.parse_args()
+    if args.cases < 1:
+        parser.error(f"--cases must be at least 1, got {args.cases}")
     if args.max_T < 2:
         parser.error(f"--max-T must be at least 2, got {args.max_T}")
 
@@ -33,15 +35,14 @@ def main() -> int:
         inst = gen_random_small(seed=args.seed + i, T=T, beta=beta,
                                 constant_c=(i % 2 == 0),
                                 with_loan=(i % 4 == 0))
-        heur = solve_frh(inst)
-        exact = solve_exact(inst, OracleConfig(max_T=args.max_T))
-        gap = exact.objective - heur.objective
-        devs[beta].append(max(0.0, gap / max(abs(exact.objective), 1e-12)))
+        devs[beta].append(deviation(inst, OracleConfig(max_T=args.max_T)))
     elapsed = time.perf_counter() - start
 
     print(f"{args.cases} instances in {elapsed:.1f}s")
     print(f"{'beta':>6} {'cases':>6} {'mean dev %':>11} {'max dev %':>10}")
     for beta in betas:
+        if not devs[beta]:
+            continue
         arr = np.array(devs[beta])
         print(f"{beta:>6} {len(arr):>6} {100 * arr.mean():>11.3f} "
               f"{100 * arr.max():>10.3f}")

@@ -1,13 +1,12 @@
 """Capital-flow constrained single-item lot sizing.
 
 Public surface: the domain model, the forward-recursive heuristic solver,
-the exact enumeration oracle, instance generators and the benchmark CLI.
+the exact branch-and-bound oracle, instance generators and the benchmark CLI.
 """
 
 from .model import (Instance, Plan, Trajectory, FeasibilityReport, InputError,
                     effective_demand, evaluate_plan, check_feasibility,
-                    production_upper_bound, trajectory_to_csv,
-                    TOL_ZERO, TOL_FEAS)
+                    trajectory_to_csv, TOL_ZERO, TOL_FEAS)
 from .lp import LpProblem, LpSolution, LpStatus, LpNumericalError, lp_solve
 from .rounds import (RoundSpec, RoundSolution, build_psub1, build_psub2,
                      build_psub3, infer_deltas, solve_round)

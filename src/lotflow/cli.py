@@ -1,6 +1,6 @@
 """Command-line front end: solve, sweep, bench, gen.
 
-Exit codes: 0 success, 2 input/parse error, 3 enumeration guard error,
+Exit codes: 0 success, 2 input/parse error, 3 oracle horizon guard error,
 4 numerical failure inside the LP solver.
 """
 

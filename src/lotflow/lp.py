@@ -9,7 +9,7 @@ degenerate problems cannot cycle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -18,8 +18,8 @@ import numpy as np
 TOL_LP_FEAS = 1e-7
 
 _PIVOT_TOL = 1e-9
-# row relation -> sense: +1 takes a slack, -1 a surplus, 0 (equality) neither
-_SENSE = {"<=": 1, "=": 0, ">=": -1}
+# sense code -> row relation: +1 takes a slack, -1 a surplus, 0 (equality) neither
+_RELATION = {1: "<=", 0: "=", -1: ">="}
 
 
 class LpStatus(Enum):
@@ -41,44 +41,52 @@ class LpNumericalError(Exception):
 class LpProblem:
     """max objective . x  subject to rows and bounds.
 
-    ``rows`` entries are ``(coeffs, relation, rhs)``; ``bounds`` defaults to
-    ``[0, +inf)`` per variable. ``objective_offset`` is a constant added to
-    the reported optimum (handy when the modeled objective has an affine
-    constant term).
+    Row ``i`` reads ``rows[i] . x  R  rhs[i]`` where ``R`` is ``<=``, ``=`` or
+    ``>=`` as ``sense[i]`` is +1, 0 or -1. Variable ``j`` lies in
+    ``[lo[j], hi[j]]``, by default ``[0, +inf)``. ``objective_offset`` is a
+    constant added to the reported optimum (handy when the modeled objective
+    has an affine constant term).
     """
 
-    n_vars: int
     objective: np.ndarray
-    rows: list = field(default_factory=list)
-    bounds: list | None = None
+    rows: np.ndarray
+    sense: np.ndarray
+    rhs: np.ndarray
+    lo: np.ndarray | None = None
+    hi: np.ndarray | None = None
     objective_offset: float = 0.0
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
-        if self.objective.shape != (self.n_vars,):
-            raise LpError("objective length must equal n_vars")
-        if self.bounds is None:
-            self.bounds = [(0.0, math.inf)] * self.n_vars
-        if len(self.bounds) != self.n_vars:
-            raise LpError("bounds length must equal n_vars")
-
-    def add_row(self, coeffs, relation: str, rhs: float):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.n_vars,):
-            raise LpError("row length must equal n_vars")
-        if relation not in _SENSE:
-            raise LpError(f"relation must be one of {tuple(_SENSE)}")
-        if not math.isfinite(rhs):
+        self.rows = np.asarray(self.rows, dtype=float)
+        self.rhs = np.asarray(self.rhs, dtype=float)
+        n = self.n_vars
+        self.lo = np.zeros(n) if self.lo is None else np.asarray(self.lo, dtype=float)
+        self.hi = np.full(n, math.inf) if self.hi is None else np.asarray(self.hi, dtype=float)
+        if self.objective.ndim != 1 or self.lo.shape != (n,) or self.hi.shape != (n,):
+            raise LpError("objective, lo and hi must be vectors of one length")
+        if self.rows.ndim != 2 or self.rows.shape[1] != n:
+            raise LpError("rows must be a matrix with one column per variable")
+        self.sense = np.asarray(self.sense)
+        m = len(self.rows)
+        if self.sense.shape != (m,) or self.rhs.shape != (m,):
+            raise LpError("sense and rhs must have one entry per row")
+        if not ((self.sense == 1) | (self.sense == 0) | (self.sense == -1)).all():
+            raise LpError(f"sense codes must be in {tuple(_RELATION)}")
+        if not np.isfinite(self.rhs).all():
             raise LpError("rhs must be finite")
-        self.rows.append((coeffs, relation, float(rhs)))
+
+    @property
+    def n_vars(self) -> int:
+        return self.objective.size
 
     def dump(self) -> str:
         """Plain-text listing, for debugging failed solves."""
         lines = ["max " + " + ".join(f"{c:g}*x{j}" for j, c in enumerate(self.objective))]
-        for coeffs, rel, rhs in self.rows:
+        for coeffs, sense, rhs in zip(self.rows, self.sense, self.rhs):
             lhs = " + ".join(f"{a:g}*x{j}" for j, a in enumerate(coeffs) if a != 0) or "0"
-            lines.append(f"  {lhs} {rel} {rhs:g}")
-        for j, (lo, hi) in enumerate(self.bounds):
+            lines.append(f"  {lhs} {_RELATION[sense]} {rhs:g}")
+        for j, (lo, hi) in enumerate(zip(self.lo, self.hi)):
             lines.append(f"  {lo:g} <= x{j} <= {hi:g}")
         return "\n".join(lines)
 
@@ -91,7 +99,7 @@ class LpSolution:
     iterations: int = 0
 
 
-def _columns(bounds: list, n: int):
+def _columns(lo: np.ndarray, hi: np.ndarray):
     """Rewrite general bounds into nonnegative standard columns.
 
     Original variable i is ``const[i] + sum(sign[k] * u[k] for src[k] == i)``
@@ -99,7 +107,7 @@ def _columns(bounds: list, n: int):
     each variable in ``capped`` gets the row ``u[first column] <= cap_rhs``,
     which closes a finite box or, for an empty box, cannot be satisfied.
     """
-    lo, hi = np.array(bounds, dtype=float).reshape(n, 2).T
+    n = len(lo)
     empty = lo > hi
     shifted = ~empty & np.isfinite(lo)               # x = lo + u
     flipped = ~empty & ~shifted & np.isfinite(hi)    # x = hi - u
@@ -172,15 +180,15 @@ def _simplex_phase(tab: np.ndarray, basis: np.ndarray, iters: int,
 def lp_solve(prob: LpProblem, max_iterations: int | None = None) -> LpSolution:
     """Solve an :class:`LpProblem`; never raises for infeasible/unbounded input."""
     n = prob.n_vars
-    src, sign, const, capped, cap_rhs = _columns(prob.bounds, n)
+    src, sign, const, capped, cap_rhs = _columns(prob.lo, prob.hi)
     n_std = len(src)
 
     # rows: the problem's rows in standard columns, then one cap row per box
-    m0 = len(prob.rows)
+    A0 = prob.rows
+    m0 = len(A0)
     m = m0 + len(capped)
-    A0 = np.array([coeffs for coeffs, _, _ in prob.rows]).reshape(m0, n)
-    b = np.concatenate([[rhs for _, _, rhs in prob.rows] - A0 @ const, cap_rhs])
-    sense = np.array([_SENSE[rel] for _, rel, _ in prob.rows] + [1] * len(capped))
+    b = np.concatenate([prob.rhs - A0 @ const, cap_rhs])
+    sense = np.concatenate([prob.sense, np.ones(len(capped), dtype=int)])
     if max_iterations is None:
         max_iterations = 50 * (n_std + m + 1)
     # make every rhs nonnegative, flipping <= and >= on negated rows

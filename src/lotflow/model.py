@@ -208,13 +208,6 @@ def effective_demand(d_t: float, w_prev: float, beta: float) -> float:
     return max(0.0, d_t - beta * w_prev)
 
 
-def production_upper_bound(B_prev: float, s_t: float, c_t: float) -> float:
-    """Largest production quantity affordable with capital ``B_prev``."""
-    if c_t <= 0:
-        raise InputError("c_t must be positive")
-    return max(0.0, (B_prev - s_t) / c_t)
-
-
 def evaluate_plan(inst: Instance, plan: Plan) -> Trajectory:
     """Roll a plan forward through demand, inventory and capital dynamics.
 

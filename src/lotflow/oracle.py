@@ -30,7 +30,7 @@ from .model import Instance, Plan, evaluate_plan
 
 
 class OracleGuardError(ValueError):
-    """Instance horizon exceeds the enumeration guard."""
+    """Instance horizon exceeds the oracle's horizon guard."""
 
 
 # a node's LP produces in a period when its y exceeds this
@@ -74,57 +74,62 @@ def _combo_lp(inst: Instance, x: np.ndarray, delta: np.ndarray,
     on may produce without paying their setup cost.
     """
     T = inst.T
-    x = np.where(np.arange(T) < k, x, 0)
+    t = np.arange(T)
+    x = np.where(t < k, x, 0)
     # variable layout
-    Y, V, W, E, Iv, Bv = (np.arange(T) + i * T for i in range(6))
+    Y, V, W, E, Iv, Bv = (t + i * T for i in range(6))
     n = 6 * T
     obj = np.zeros(n)
     obj[Bv[T - 1]] = 1.0
-    prob = LpProblem(n_vars=n, objective=obj,
-                     objective_offset=-inst.B0)
-    bounds = [(0.0, math.inf)] * n
-    for t in range(k):
-        if x[t] == 0:
-            bounds[Y[t]] = (0.0, 0.0)
-    prob.bounds = bounds
+    hi = np.full(n, math.inf)
+    hi[Y[(t < k) & (x == 0)]] = 0.0
 
-    def row(terms, rel, rhs):
-        coeffs = np.zeros(n)
-        for j, a in terms:
-            coeffs[j] += a
-        prob.add_row(coeffs, rel, rhs)
-
-    for t in range(T):
-        b_prev = [(Bv[t - 1], 1.0)] if t > 0 else []
-        b_prev_rhs = inst.B0 if t == 0 else 0.0
-        # capital sufficiency
-        row([(Y[t], inst.c[t])] + [(j, -a) for j, a in b_prev], "<=",
-            b_prev_rhs - inst.s[t] * x[t])
-        # inventory balance
-        i_prev = [(Iv[t - 1], 1.0)] if t > 0 else []
-        row([(Iv[t], 1.0)] + [(j, -a) for j, a in i_prev]
-            + [(Y[t], -1.0), (V[t], 1.0)], "=", 0.0)
-        # realized demand identity
-        row([(V[t], 1.0), (W[t], 1.0), (E[t], -1.0)], "=", 0.0)
-        # lost sales within effective demand
-        row([(W[t], 1.0), (E[t], -1.0)], "<=", 0.0)
-        # capital balance with one-time repayment
-        rhs = b_prev_rhs - inst.s[t] * x[t]
-        if inst.BL > 0 and t + 1 == inst.TL:
-            rhs -= inst.repayment
-        row([(Bv[t], 1.0)] + [(j, -a) for j, a in b_prev]
-            + [(V[t], -inst.p[t]), (Iv[t], inst.h[t]), (Y[t], inst.c[t])],
-            "=", rhs)
-        # effective demand per the survival flag
-        w_prev = [(W[t - 1], inst.beta)] if t > 0 else []
-        if delta[t] == 1:
-            row([(E[t], 1.0)] + w_prev, "=", inst.d[t])
-            if t > 0:
-                row(w_prev, "<=", inst.d[t])
-        else:
-            row([(E[t], 1.0)], "=", 0.0)
-            row([(j, -a) for j, a in w_prev], "<=", -inst.d[t])
-    return prob
+    # seven rows per period, by kind 0..6; periods 2..T (``later``) also
+    # refer to the columns of periods 1..T-1 (``prev``)
+    A = np.zeros((T, 7, n))
+    rhs = np.zeros((T, 7))
+    sense = np.tile([1, 0, 0, 1, 0, 0, 1], (T, 1))
+    later, prev = t[1:], t[:-1]
+    b_prev_rhs = np.where(t == 0, inst.B0, 0.0) - inst.s * x
+    # 0: capital sufficiency
+    A[t, 0, Y] = inst.c
+    A[later, 0, Bv[prev]] = -1.0
+    rhs[:, 0] = b_prev_rhs
+    # 1: inventory balance
+    A[t, 1, Iv] = 1.0
+    A[later, 1, Iv[prev]] = -1.0
+    A[t, 1, Y] = -1.0
+    A[t, 1, V] = 1.0
+    # 2: realized demand identity
+    A[t, 2, V] = 1.0
+    A[t, 2, W] = 1.0
+    A[t, 2, E] = -1.0
+    # 3: lost sales within effective demand
+    A[t, 3, W] = 1.0
+    A[t, 3, E] = -1.0
+    # 4: capital balance with one-time repayment
+    A[t, 4, Bv] = 1.0
+    A[later, 4, Bv[prev]] = -1.0
+    A[t, 4, V] = -inst.p
+    A[t, 4, Iv] = inst.h
+    A[t, 4, Y] = inst.c
+    rhs[:, 4] = b_prev_rhs
+    if inst.BL > 0:
+        rhs[inst.TL - 1, 4] -= inst.repayment
+    # 5: effective demand per the survival flag
+    alive = delta == 1
+    A[t, 5, E] = 1.0
+    A[later, 5, W[prev]] = inst.beta * alive[later]
+    rhs[:, 5] = np.where(alive, inst.d, 0.0)
+    # 6: a surviving period's shrink stays positive, a dead one's does not
+    side = np.where(alive, 1.0, -1.0)
+    A[later, 6, W[prev]] = side[later] * inst.beta
+    rhs[:, 6] = side * inst.d
+    # no lost sales precede period 1, so a surviving period 1 has no row 6
+    keep = np.ones((T, 7), dtype=bool)
+    keep[0, 6] = not alive[0]
+    return LpProblem(objective=obj, rows=A[keep], sense=sense[keep],
+                     rhs=rhs[keep], hi=hi, objective_offset=-inst.B0)
 
 
 def _beats(bound: float, incumbent: float) -> bool:
@@ -148,7 +153,7 @@ def solve_exact(inst: Instance, cfg: OracleConfig | None = None) -> Solution:
     cfg = cfg or OracleConfig()
     if inst.T > cfg.max_T:
         raise OracleGuardError(
-            f"T={inst.T} exceeds the enumeration guard max_T={cfg.max_T}")
+            f"T={inst.T} exceeds the oracle horizon guard max_T={cfg.max_T}")
     T = inst.T
     best_val = -math.inf
     best_plan: Plan | None = None

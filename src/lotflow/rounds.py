@@ -72,20 +72,6 @@ class RoundSolution:
     lp_solves: int = 0
 
 
-class _Affine:
-    """const + coef . v over the round's local variables."""
-
-    __slots__ = ("const", "coef")
-
-    def __init__(self, const: float, coef: np.ndarray):
-        self.const = const
-        self.coef = coef
-
-    @classmethod
-    def constant(cls, L: int, value: float) -> "_Affine":
-        return cls(value, np.zeros(L))
-
-
 def _cycle_bounds(spec: RoundSpec):
     """Local [start, end) index pairs for each cycle."""
     starts = [t - spec.m for t in spec.cycle_starts]
@@ -93,130 +79,87 @@ def _cycle_bounds(spec: RoundSpec):
     return list(zip(starts, ends))
 
 
-def _ed_affine(inst: Instance, spec: RoundSpec, deltas=None) -> list:
-    """Effective demand per period as affine functions of v.
+def _ed_affine(inst: Instance, spec: RoundSpec, deltas=None):
+    """Effective demand per period as ``ed @ v + ed0``, and the shrink.
 
-    Without ``deltas`` every period uses the surviving-demand recursion;
-    with ``deltas`` the flagged-dead periods are pinned to zero.
+    The shrink ``shrink @ v + shrink0`` is ``d_t - beta * w_{t-1}``, the
+    effective demand of a surviving period (row 0, period m, is left zero).
+    Without ``deltas`` every period survives; with ``deltas`` the
+    flagged-dead periods are pinned to zero.
     """
     L = spec.n - spec.m + 1
     beta = inst.beta
-    ed: list[_Affine] = []
-    first = effective_demand(inst.d[spec.m - 1], spec.w_in, beta)
-    ed.append(_Affine.constant(L, first))
+    d = inst.d[spec.m - 1 : spec.n]
+    ed, shrink = np.zeros((L, L)), np.zeros((L, L))
+    ed0, shrink0 = np.zeros(L), np.zeros(L)
+    ed0[0] = effective_demand(d[0], spec.w_in, beta)
     for k in range(1, L):
-        t = spec.m - 1 + k  # 0-based absolute period
-        if deltas is not None and deltas[k] == 0:
-            ed.append(_Affine.constant(L, 0.0))
-            continue
-        prev = ed[k - 1]
-        coef = -beta * prev.coef.copy()
-        coef[k - 1] += beta
-        ed.append(_Affine(inst.d[t] - beta * prev.const, coef))
-    return ed
+        # lost sales w_{k-1} = ed_{k-1} - v_{k-1}
+        shrink[k] = -beta * ed[k - 1]
+        shrink[k, k - 1] += beta
+        shrink0[k] = d[k] - beta * ed0[k - 1]
+        if deltas is None or deltas[k] != 0:
+            ed[k], ed0[k] = shrink[k], shrink0[k]
+    return ed, ed0, shrink, shrink0
 
 
 def _round_lp(inst: Instance, spec: RoundSpec, model: str,
               deltas=None, w_cap: float | None = None) -> LpProblem:
     """Assemble the LP for one of the three round models.
 
-    Decision variables are v_t for t in [m, n] (local index 0..L-1).
+    Decision variables are v_t for t in [m, n] (local index 0..L-1); every
+    row is a ``<=`` row.
     """
     L = spec.n - spec.m + 1
+    window = slice(spec.m - 1, spec.n)
+    d, p, c, h, s = (a[window] for a in (inst.d, inst.p, inst.c, inst.h, inst.s))
     cycles = _cycle_bounds(spec)
+    launch = np.array([a for a, _ in cycles])
 
-    ed = None
-    if model in ("sub1", "sub3"):
-        ed = _ed_affine(inst, spec, deltas if model == "sub3" else None)
-
-    # inventory: within a cycle, stock after period t serves the rest of it
-    inv: list[_Affine] = []
-    for a, b in cycles:
+    # capital at the end of local period k - 1 is cap[k] @ v + cap0[k],
+    # accumulated forward from B_in; launch_cost[i] @ v buys cycle i
+    cap, cap0 = np.zeros((L + 1, L)), np.zeros(L + 1)
+    cap0[0] = spec.B_in
+    launch_cost = np.zeros((len(cycles), L))
+    for i, (a, b) in enumerate(cycles):
+        launch_cost[i, a:b] = c[a]
         for k in range(a, b):
-            coef = np.zeros(L)
-            coef[k + 1 : b] = 1.0
-            inv.append(_Affine(0.0, coef))
+            cap[k + 1], cap0[k + 1] = cap[k], cap0[k]
+            cap[k + 1, k] += p[k]
+            # stock after period k serves the rest of its cycle
+            cap[k + 1, k + 1 : b] -= h[k]
+            if k == a:
+                cap0[k + 1] -= s[k]
+                cap[k + 1, a:b] -= c[k]
+            if inst.BL > 0 and spec.m + k == inst.TL:
+                cap0[k + 1] -= inst.repayment
 
-    # capital: forward accumulation from B_in
-    cap: list[_Affine] = []
-    run = _Affine.constant(L, spec.B_in)
-    cycle_start_set = {a for a, _ in cycles}
-    for k in range(L):
-        t = spec.m - 1 + k
-        coef = run.coef.copy()
-        const = run.const
-        coef[k] += inst.p[t]
-        const -= inst.h[t] * inv[k].const
-        coef -= inst.h[t] * inv[k].coef
-        if k in cycle_start_set:
-            a, b = next(cyc for cyc in cycles if cyc[0] == k)
-            const -= inst.s[t]
-            coef[a:b] -= inst.c[t]
-        if inst.BL > 0 and t + 1 == inst.TL:
-            const -= inst.repayment
-        run = _Affine(const, coef)
-        cap.append(run)
-
-    prob = LpProblem(n_vars=L,
-                     objective=cap[-1].coef.copy(),
-                     objective_offset=cap[-1].const - spec.B_in)
-
-    bounds: list[tuple[float, float]] = []
-    for k in range(L):
+    blocks = [
+        # per-cycle capital sufficiency at each launch period
+        (launch_cost - cap[launch], cap0[launch] - s[launch]),
+        # end-of-period capital stays nonnegative
+        (-cap[1:], cap0[1:]),
+    ]
+    hi = d.copy()
+    if model != "sub2":
+        ed, ed0, shrink, shrink0 = _ed_affine(inst, spec, deltas)
         if model == "sub1":
-            hi = ed[k].const if not ed[k].coef.any() else math.inf
-        else:
-            hi = float(inst.d[spec.m - 1 + k])
-        bounds.append((0.0, hi))
-    prob.bounds = bounds
-
-    # per-cycle capital sufficiency at each launch period
-    for a, b in cycles:
-        t = spec.m - 1 + a
-        coef = np.zeros(L)
-        coef[a:b] = inst.c[t]
-        rhs = -inst.s[t]
-        if a == 0:
-            rhs += spec.B_in
-        else:
-            rhs += cap[a - 1].const
-            coef -= cap[a - 1].coef
-        prob.add_row(coef, "<=", rhs)
-
-    # end-of-period capital stays nonnegative
-    for k in range(L):
-        prob.add_row(-cap[k].coef, "<=", cap[k].const)
-
-    if ed is not None:
-        for k in range(L):
-            if ed[k].coef.any():
-                coef = -ed[k].coef.copy()
-                coef[k] += 1.0
-                prob.add_row(coef, "<=", ed[k].const)
-            else:
-                prob.add_row(_unit(L, k), "<=", ed[k].const)
+            hi = np.where(ed.any(axis=1), math.inf, ed0)
+        # realized demand within effective demand
+        blocks.append((np.eye(L) - ed, ed0))
         if model == "sub3":
-            beta = inst.beta
-            for k in range(1, L):
-                if deltas[k] == 0:
-                    # demand must actually fall below the goodwill shrink
-                    prev = ed[k - 1]
-                    coef = -beta * prev.coef.copy()
-                    coef[k - 1] += beta
-                    const = inst.d[spec.m - 1 + k] - beta * prev.const
-                    prob.add_row(coef, "<=", -TOL_STRICT - const)
+            # demand must actually fall below the goodwill shrink
+            dead = np.flatnonzero(deltas[1:] == 0) + 1
+            blocks.append((shrink[dead], -TOL_STRICT - shrink0[dead]))
         if w_cap is not None:
-            coef = ed[-1].coef.copy()
-            coef[-1] -= 1.0
-            prob.add_row(coef, "<=", w_cap - ed[-1].const)
+            w_row = ed[-1].copy()
+            w_row[-1] -= 1.0
+            blocks.append((w_row[None], [w_cap - ed0[-1]]))
 
-    return prob
-
-
-def _unit(L: int, k: int) -> np.ndarray:
-    e = np.zeros(L)
-    e[k] = 1.0
-    return e
+    rhs = np.concatenate([b for _, b in blocks])
+    return LpProblem(objective=cap[-1], rows=np.vstack([r for r, _ in blocks]),
+                     sense=np.ones(len(rhs), dtype=int), rhs=rhs, hi=hi,
+                     objective_offset=cap0[-1] - spec.B_in)
 
 
 def build_psub1(inst: Instance, spec: RoundSpec, w_cap: float | None = None) -> LpProblem:

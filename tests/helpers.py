@@ -35,12 +35,11 @@ def _halfspaces(prob: LpProblem):
     """All constraints as A x <= b rows plus a list of equality row ids."""
     n = prob.n_vars
     A, b, eq_ids = [], [], []
-    for coeffs, rel, rhs in prob.rows:
-        coeffs = np.asarray(coeffs, dtype=float)
-        if rel == "<=":
+    for coeffs, sense, rhs in zip(prob.rows, prob.sense, prob.rhs):
+        if sense == 1:
             A.append(coeffs)
             b.append(rhs)
-        elif rel == ">=":
+        elif sense == -1:
             A.append(-coeffs)
             b.append(-rhs)
         else:  # equality: both directions, remember to force tightness
@@ -50,7 +49,7 @@ def _halfspaces(prob: LpProblem):
             A.append(-coeffs)
             b.append(-rhs)
     for j in range(n):
-        lo, hi = prob.bounds[j]
+        lo, hi = prob.lo[j], prob.hi[j]
         e = np.zeros(n)
         e[j] = 1.0
         if lo > -math.inf:
@@ -200,16 +199,15 @@ def random_bounded_lp(rng: np.random.Generator) -> LpProblem:
     n = int(rng.integers(2, 5))
     m = int(rng.integers(1, 5))
     obj = rng.uniform(-3.0, 3.0, n)
-    prob = LpProblem(n_vars=n, objective=obj,
-                     objective_offset=float(rng.uniform(-5.0, 5.0)))
+    offset = float(rng.uniform(-5.0, 5.0))
     ub = rng.uniform(1.0, 10.0, n)
-    prob.bounds = [(0.0, float(u)) for u in ub]
     x0 = rng.uniform(0.0, 1.0, n) * ub  # guaranteed-feasible anchor
-    for _ in range(m):
-        coeffs = rng.uniform(-2.0, 2.0, n)
-        rhs = float(coeffs @ x0 + rng.uniform(0.0, 4.0))
-        prob.add_row(coeffs, "<=", rhs)
-    return prob
+    rows, rhs = np.empty((m, n)), np.empty(m)
+    for i in range(m):
+        rows[i] = rng.uniform(-2.0, 2.0, n)
+        rhs[i] = rows[i] @ x0 + rng.uniform(0.0, 4.0)
+    return LpProblem(objective=obj, rows=rows, sense=np.ones(m, dtype=int),
+                     rhs=rhs, hi=ub, objective_offset=offset)
 
 
 def random_general_lp(rng: np.random.Generator) -> LpProblem:
@@ -222,27 +220,25 @@ def random_general_lp(rng: np.random.Generator) -> LpProblem:
     """
     n = int(rng.integers(2, 5))
     obj = rng.uniform(-3.0, 3.0, n)
-    prob = LpProblem(n_vars=n, objective=obj,
-                     objective_offset=float(rng.uniform(-5.0, 5.0)))
-    bounds, x0 = [], np.empty(n)
+    offset = float(rng.uniform(-5.0, 5.0))
+    lo, hi, x0 = np.empty(n), np.empty(n), np.empty(n)
     for j in range(n):
         if rng.random() < 0.5:
-            lo = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 5.0))
-            hi = lo + float(rng.uniform(1.0, 10.0))
-            x0[j] = rng.uniform(lo, hi)
+            lo[j] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 5.0)
+            hi[j] = lo[j] + rng.uniform(1.0, 10.0)
+            x0[j] = rng.uniform(lo[j], hi[j])
         else:
-            lo, hi = -math.inf, float(rng.uniform(-5.0, 5.0))
+            lo[j], hi[j] = -math.inf, rng.uniform(-5.0, 5.0)
             obj[j] = abs(obj[j]) + 0.1
-            x0[j] = hi - rng.uniform(0.0, 5.0)
-        bounds.append((lo, hi))
-    prob.bounds = bounds
-    for rel in ("=", ">=") + tuple(rng.choice(["<=", "=", ">="],
-                                              int(rng.integers(0, 3)))):
-        coeffs = rng.uniform(-2.0, 2.0, n)
-        gap = float(rng.uniform(0.0, 4.0))
-        rhs = float(coeffs @ x0) + {"<=": gap, "=": 0.0, ">=": -gap}[rel]
-        prob.add_row(coeffs, rel, rhs)
-    return prob
+            x0[j] = hi[j] - rng.uniform(0.0, 5.0)
+    # one = row, one >= row, then up to two rows of any relation
+    sense = np.concatenate([[0, -1], rng.choice([1, 0, -1], int(rng.integers(0, 3)))])
+    rows, rhs = np.empty((len(sense), n)), np.empty(len(sense))
+    for i, code in enumerate(sense):
+        rows[i] = rng.uniform(-2.0, 2.0, n)
+        rhs[i] = rows[i] @ x0 + code * rng.uniform(0.0, 4.0)
+    return LpProblem(objective=obj, rows=rows, sense=sense, rhs=rhs, lo=lo,
+                     hi=hi, objective_offset=offset)
 
 
 def random_infeasible_lp(rng: np.random.Generator) -> LpProblem:
@@ -251,8 +247,10 @@ def random_infeasible_lp(rng: np.random.Generator) -> LpProblem:
     n = prob.n_vars
     e = np.zeros(n)
     e[int(rng.integers(0, n))] = 1.0
-    prob.add_row(e, "<=", -1.0 - float(rng.uniform(0.0, 3.0)))
-    return prob
+    rhs = -1.0 - rng.uniform(0.0, 3.0)
+    return LpProblem(objective=prob.objective, rows=np.vstack([prob.rows, e]),
+                     sense=np.append(prob.sense, 1), rhs=np.append(prob.rhs, rhs),
+                     hi=prob.hi, objective_offset=prob.objective_offset)
 
 
 def random_unbounded_lp(rng: np.random.Generator) -> LpProblem:
@@ -261,11 +259,9 @@ def random_unbounded_lp(rng: np.random.Generator) -> LpProblem:
     m = int(rng.integers(1, 4))
     obj = rng.uniform(-2.0, 2.0, n)
     obj[0] = float(rng.uniform(0.5, 3.0))  # pays to push x1 up
-    prob = LpProblem(n_vars=n, objective=obj)
-    prob.bounds = [(0.0, math.inf)] * n
-    for _ in range(m):
-        coeffs = rng.uniform(-2.0, 2.0, n)
-        coeffs[0] = -abs(coeffs[0])  # the ray x1 -> inf never tightens rows
-        rhs = float(rng.uniform(0.0, 5.0))  # origin stays feasible
-        prob.add_row(coeffs, "<=", rhs)
-    return prob
+    rows, rhs = np.empty((m, n)), np.empty(m)
+    for i in range(m):
+        rows[i] = rng.uniform(-2.0, 2.0, n)
+        rows[i, 0] = -abs(rows[i, 0])  # the ray x1 -> inf never tightens rows
+        rhs[i] = rng.uniform(0.0, 5.0)  # origin stays feasible
+    return LpProblem(objective=obj, rows=rows, sense=np.ones(m, dtype=int), rhs=rhs)

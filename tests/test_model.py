@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lotflow import (Instance, InputError, Plan, TOL_FEAS, check_feasibility,
-                     effective_demand, evaluate_plan, production_upper_bound,
-                     trajectory_to_csv)
+                     effective_demand, evaluate_plan, trajectory_to_csv)
 
 
 def make_instance(**overrides):
@@ -86,14 +85,6 @@ class TestEffectiveDemand:
     def test_monotone_in_lost_sales(self, d, w1, w2, beta):
         lo, hi = sorted((w1, w2))
         assert effective_demand(d, hi, beta) <= effective_demand(d, lo, beta)
-
-
-class TestProductionUpperBound:
-    def test_affordable(self):
-        assert production_upper_bound(250.0, 100.0, 5.0) == 30.0
-
-    def test_cannot_afford_setup(self):
-        assert production_upper_bound(80.0, 100.0, 5.0) == 0.0
 
 
 class TestEvaluatePlan:

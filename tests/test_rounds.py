@@ -5,9 +5,9 @@ import pytest
 
 from lotflow import Instance, Plan, evaluate_plan
 from lotflow.lp import LpStatus, lp_solve
-from lotflow.rounds import (FEASIBLE, INFEASIBLE, RoundSpec, build_psub1,
-                            build_psub2, build_psub3, infer_deltas,
-                            round_spec, solve_round)
+from lotflow.rounds import (FEASIBLE, INFEASIBLE, TOL_STRICT, RoundSpec,
+                            build_psub1, build_psub2, build_psub3,
+                            infer_deltas, round_spec, solve_round)
 
 
 def single_period_instance():
@@ -118,6 +118,58 @@ class TestRoundSolutionShape:
         assert capped.status == FEASIBLE
         assert capped.w_out <= 1e-9
         assert capped.BB <= free.BB + 1e-9
+
+
+class TestRoundLpLayout:
+    """The round LPs written out by hand for one two-cycle round.
+
+    Periods 1 | 2-3 form two cycles and the loan (BL=100, r=0.5) repays 225
+    at the end of period 2. Capital after each period, in v = (v1, v2, v3):
+
+        B1 = 1000 - 100 + (21 - 5) v1           = 900 + 16 v1
+        B2 = B1 - 110 + 22 v2 - 6 (v2 + v3) - 2 v3 - 225
+           = 565 + 16 v1 + 16 v2 - 8 v3
+        B3 = B2 + 23 v3
+
+    With beta = 0.5 and no lost sales entering, the effective demands are
+    Ed1 = 30, Ed2 = 40 - 0.5 (30 - v1) = 25 + 0.5 v1 and
+    Ed3 = 20 - 0.5 (Ed2 - v2) = 7.5 - 0.25 v1 + 0.5 v2.
+    """
+
+    inst = Instance(T=3, d=[30, 40, 20], p=[21, 22, 23], c=[5, 6, 7],
+                    h=[1, 2, 3], s=[100, 110, 120], Bc=900.0, BL=100.0,
+                    TL=2, r=0.5, beta=0.5)
+    spec = RoundSpec(m=1, n=3, cycle_starts=(1, 2), B_in=1000.0)
+
+    def test_psub1(self):
+        prob = build_psub1(self.inst, self.spec)
+        np.testing.assert_array_equal(prob.rows, [
+            [5, 0, 0],         # launch 1: 5 v1 <= 1000 - 100
+            [-16, 6, 6],       # launch 2: 6 (v2 + v3) <= B1 - 110
+            [-16, 0, 0],       # B1 >= 0
+            [-16, -16, 8],     # B2 >= 0
+            [-16, -16, -15],   # B3 >= 0
+            [1, 0, 0],         # v1 <= Ed1
+            [-0.5, 1, 0],      # v2 <= Ed2
+            [0.25, -0.5, 1],   # v3 <= Ed3
+        ])
+        np.testing.assert_array_equal(prob.rhs,
+                                      [900, 790, 900, 565, 565, 30, 25, 7.5])
+        np.testing.assert_array_equal(prob.sense, [1] * 8)
+        # only Ed1 is a constant, so only v1 gets a finite upper bound
+        np.testing.assert_array_equal(prob.hi, [30, np.inf, np.inf])
+        np.testing.assert_array_equal(prob.lo, [0, 0, 0])
+        np.testing.assert_array_equal(prob.objective, [16, 16, 15])
+        assert prob.objective_offset == 565 - 1000
+
+    def test_psub3_dead_period(self):
+        prob = build_psub3(self.inst, self.spec, [1, 1, 0])
+        np.testing.assert_array_equal(prob.rows[-2:], [
+            [0, 0, 1],         # a dead period's effective demand is zero
+            [-0.25, 0.5, 0],   # 20 - 0.5 w2 = 7.5 - 0.25 v1 + 0.5 v2 < 0
+        ])
+        np.testing.assert_array_equal(prob.rhs[-2:], [0, -(7.5 + TOL_STRICT)])
+        np.testing.assert_array_equal(prob.hi, [30, 40, 20])
 
 
 class TestEnumerateRoundSpecs:

@@ -10,10 +10,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -46,7 +44,7 @@ class RunReport:
     rows: list = field(default_factory=list)
 
     ROW_FIELDS = ("instance_id", "T", "beta", "frh_objective", "oracle_objective",
-                  "deviation", "frh_time", "lp_count", "error")
+                  "deviation", "frh_time", "lp_count", "degenerate", "error")
 
     def add(self, **kwargs):
         self.rows.append({k: kwargs.get(k) for k in self.ROW_FIELDS})
@@ -62,6 +60,7 @@ class RunReport:
             out.append({
                 "group": key,
                 "cases": len(rows),
+                "degenerate": sum(1 for r in rows if r["degenerate"]),
                 "non_optimal": sum(1 for dv in devs if dv > _DEV_TOL),
                 "mean_deviation": float(np.mean(devs)) if devs else None,
                 "max_deviation": float(np.max(devs)) if devs else None,
@@ -92,7 +91,7 @@ class RunReport:
             json.dumps(summary, indent=2), encoding="utf-8")
         with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=[
-                "group", "cases", "non_optimal", "mean_deviation",
+                "group", "cases", "degenerate", "non_optimal", "mean_deviation",
                 "max_deviation", "mean_frh_time"])
             writer.writeheader()
             writer.writerows(summary["pivot"])
@@ -139,9 +138,8 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _bench_one(payload):
-    idx, inst_dict, cfg_fields, run_oracle, oracle_max_t = payload
-    inst = Instance.from_dict(inst_dict)
+def _bench_one(idx: int, inst: Instance, cfg_fields: dict, run_oracle: bool,
+               oracle_max_t: int) -> dict:
     row = dict(cfg_fields)
     row["instance_id"] = idx
     row["T"] = inst.T
@@ -155,6 +153,7 @@ def _bench_one(payload):
         row["frh_time"] = time.perf_counter() - start
         row["frh_objective"] = sol.objective
         row["lp_count"] = sol.lp_count
+        row["degenerate"] = sol.degenerate
         if run_oracle and inst.T <= oracle_max_t:
             exact = solve_exact(inst, OracleConfig(max_T=oracle_max_t))
             row["oracle_objective"] = exact.objective
@@ -165,6 +164,7 @@ def _bench_one(payload):
         row.setdefault("frh_time", float("nan"))
         row.setdefault("frh_objective", None)
         row.setdefault("lp_count", None)
+        row.setdefault("degenerate", None)
     return row
 
 
@@ -179,20 +179,10 @@ def cmd_bench(args) -> int:
         gen = gen_table5
     if args.max_cases is not None:
         configs = configs[: args.max_cases]
-    payloads = []
-    for idx, cfg in enumerate(configs):
-        inst = gen(cfg)
-        cfg_fields = {k: v for k, v in cfg.__dict__.items()}
-        payloads.append((idx, inst.to_dict(), cfg_fields,
-                         args.oracle, args.oracle_max_T))
-    workers = int(os.environ.get("LOTFLOW_THREADS", "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_bench_one, payloads))
-    else:
-        rows = [_bench_one(p) for p in payloads]
     report = RunReport(scheme=args.scheme)
-    for row in rows:
+    for idx, cfg in enumerate(configs):
+        row = _bench_one(idx, gen(cfg), dict(cfg.__dict__), args.oracle,
+                         args.oracle_max_T)
         extra = {k: row[k] for k in RunReport.ROW_FIELDS}
         if args.scheme == "table5":
             extra.update({k: row[k] for k in
@@ -201,7 +191,7 @@ def cmd_bench(args) -> int:
                            "beta_level")})
         report.rows.append(extra)
     report.write(Path(args.out))
-    print(f"benchmarked {len(rows)} instances -> {args.out}")
+    print(f"benchmarked {len(report.rows)} instances -> {args.out}")
     return EXIT_OK
 
 

@@ -56,18 +56,29 @@ class RecursionState:
 
 
 class _Prefix:
-    """Committed plan through some period, evaluated over the full horizon.
+    """Committed plan through some period, with its trajectory to period T.
 
-    Never mutated once built, so several periods may share one prefix.
+    A round m..n replaces a base prefix from period m on, so the new
+    prefix's trajectory copies the base's before m and is evaluated from m.
+    ``checked`` is the last period through which the trajectory is known to
+    pass :func:`check_feasibility`; a prefix built on a base checked through
+    m - 1 needs a check of periods m..n only. Never mutated once built, so
+    several periods may share one prefix.
     """
 
-    __slots__ = ("y", "v", "traj", "last_round")
+    __slots__ = ("y", "v", "traj", "last_round", "checked")
 
-    def __init__(self, inst: Instance, y: np.ndarray, v: np.ndarray, last_round):
+    def __init__(self, y: np.ndarray, v: np.ndarray, traj: Trajectory,
+                 last_round, checked: int):
         self.y = y
         self.v = v
-        self.traj = evaluate_plan(inst, Plan(y, v))
+        self.traj = traj
         self.last_round = last_round  # (cycle_starts tuple, end period) or None
+        self.checked = checked
+
+    def check_start(self, m: int) -> int:
+        """First period to check on a prefix that changes this one from m."""
+        return m if self.checked >= m - 1 else 1
 
     def last_cycle(self) -> int | None:
         if self.last_round is None:
@@ -99,8 +110,9 @@ class _Frh:
     def __init__(self, inst: Instance):
         self.inst = inst
         T = inst.T
+        idle = Plan.null(T)
         self.prefixes: list[_Prefix] = [
-            _Prefix(inst, np.zeros(T), np.zeros(T), None)
+            _Prefix(idle.y, idle.v, evaluate_plan(inst, idle), None, checked=0)
         ]
         self.bb_table = np.full((T, T), np.nan)
         self.lp_count = 0
@@ -118,10 +130,12 @@ class _Frh:
         self.lp_count += sol.lp_solves
         if sol.status != FEASIBLE:
             return math.nan, None
-        pref = _Prefix(self.inst, *_splice(base, sol, spec), (spec.cycle_starts, n))
-        if not check_feasibility(self.inst, pref.traj, up_to=n).feasible:
+        y, v = _splice(base, sol, spec)
+        traj = evaluate_plan(self.inst, Plan(y, v), base.traj, spec.m)
+        if not check_feasibility(self.inst, traj, up_to=n,
+                                 start=base.check_start(spec.m)).feasible:
             return sol.BB, None
-        return sol.BB, pref
+        return sol.BB, _Prefix(y, v, traj, (spec.cycle_starts, n), checked=n)
 
     def step(self, n: int):
         """Commit the best plan through period n (recursion Steps 1-2)."""
@@ -129,9 +143,11 @@ class _Frh:
         candidates: list[tuple[float, float, _Prefix]] = []
 
         prev = self.prefixes[n - 1]
-        if check_feasibility(inst, prev.traj, up_to=n).feasible:
+        if check_feasibility(inst, prev.traj, up_to=n,
+                             start=prev.check_start(n)).feasible:
             # idle period: demand in n is fully lost, capital carries over
-            candidates.append((float(prev.traj.B[n]), math.inf, prev))
+            idle = _Prefix(prev.y, prev.v, prev.traj, prev.last_round, checked=n)
+            candidates.append((float(prev.traj.B[n]), math.inf, idle))
 
         for m in range(1, n + 1):
             base = self.prefixes[m - 1]
@@ -144,7 +160,8 @@ class _Frh:
 
         if not candidates:
             # even idling violates capital nonnegativity (loan repayment due);
-            # commit the idle plan anyway and flag the run degenerate
+            # commit the idle plan anyway, unchecked through n, and flag the
+            # run degenerate
             self.degenerate = True
             self.prefixes.append(prev)
             return

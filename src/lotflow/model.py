@@ -208,84 +208,123 @@ def effective_demand(d_t: float, w_prev: float, beta: float) -> float:
     return max(0.0, d_t - beta * w_prev)
 
 
-def evaluate_plan(inst: Instance, plan: Plan) -> Trajectory:
+def evaluate_plan(inst: Instance, plan: Plan, base: Trajectory | None = None,
+                  start: int = 1) -> Trajectory:
     """Roll a plan forward through demand, inventory and capital dynamics.
 
     The trajectory is computed even if the plan is infeasible; use
     :func:`check_feasibility` to detect violations.
+
+    With ``base``, the plan must equal ``base.plan`` in periods
+    1..start-1: those periods are copied from ``base`` and the recursion
+    resumes at period ``start`` from its state. Every period is computed by
+    the same float operations in the same order either way, so the result
+    is the same to the last bit as a full evaluation.
     """
     T = inst.T
     if plan.y.shape != (T,):
         raise InputError(f"plan vectors must have length {T}")
-    y, v = plan.y, plan.v
-    x = (y > TOL_ZERO).astype(int)
-    Ed = np.zeros(T)
-    w = np.zeros(T)
-    I = np.zeros(T + 1)
-    B = np.zeros(T + 1)
-    B[0] = inst.B0
-    w_prev = 0.0
-    for t in range(T):
-        Ed[t] = effective_demand(inst.d[t], w_prev, inst.beta)
-        w[t] = Ed[t] - v[t]
-        I[t + 1] = I[t] + y[t] - v[t]
-        B[t + 1] = (B[t] + inst.p[t] * v[t] - inst.h[t] * I[t + 1]
-                    - inst.s[t] * x[t] - inst.c[t] * y[t])
-        if inst.BL > 0 and t + 1 == inst.TL:
-            B[t + 1] -= inst.repayment
-        w_prev = w[t]
+    lo = 0 if base is None else min(max(start, 1), T + 1) - 1
+    x = (plan.y > TOL_ZERO).astype(int)
+    Ed = np.empty(T)
+    w = np.empty(T)
+    I = np.empty(T + 1)
+    B = np.empty(T + 1)
+    if lo == 0:
+        I[0], B[0] = 0.0, inst.B0
+        w_prev = 0.0
+    else:
+        Ed[:lo], w[:lo] = base.Ed[:lo], base.w[:lo]
+        I[: lo + 1], B[: lo + 1] = base.I[: lo + 1], base.B[: lo + 1]
+        w_prev = float(w[lo - 1])
+    # the recursion runs on Python floats, which round like float64 scalars
+    i_t, b_t = float(I[lo]), float(B[lo])
+    beta, due = inst.beta, (inst.TL if inst.BL > 0 else 0)
+    ed_new, w_new, i_new, b_new = [], [], [], []
+    for t, (d_t, p_t, h_t, s_t, c_t, x_t, y_t, v_t) in enumerate(zip(
+            inst.d[lo:].tolist(), inst.p[lo:].tolist(), inst.h[lo:].tolist(),
+            inst.s[lo:].tolist(), inst.c[lo:].tolist(), x[lo:].tolist(),
+            plan.y[lo:].tolist(), plan.v[lo:].tolist()), start=lo + 1):
+        ed_t = effective_demand(d_t, w_prev, beta)
+        w_prev = ed_t - v_t
+        i_t = i_t + y_t - v_t
+        b_t = b_t + p_t * v_t - h_t * i_t - s_t * x_t - c_t * y_t
+        if t == due:
+            b_t -= inst.repayment
+        ed_new.append(ed_t)
+        w_new.append(w_prev)
+        i_new.append(i_t)
+        b_new.append(b_t)
+    Ed[lo:], w[lo:], I[lo + 1:], B[lo + 1:] = ed_new, w_new, i_new, b_new
     for arr in (x, Ed, w, I, B):
         arr.setflags(write=False)
     return Trajectory(plan=plan, x=x, Ed=Ed, w=w, I=I, B=B,
                       objective=float(B[T] - inst.B0))
 
 
-def check_feasibility(inst: Instance, traj: Trajectory,
-                      tol: float = TOL_FEAS, up_to: int | None = None) -> FeasibilityReport:
+# the per-period constraint rows of check_feasibility, in reporting order
+_CHECK_IDS = ("C3", "C4", "C4", "C5", "C6", "C8", "C9", "C14",
+              "C15", "C15", "C15", "C15")
+
+
+def check_feasibility(inst: Instance, traj: Trajectory, tol: float = TOL_FEAS,
+                      up_to: int | None = None, start: int = 1) -> FeasibilityReport:
     """Check a trajectory against every model constraint.
 
-    ``up_to`` restricts the check to periods 1..up_to (used while a plan
-    prefix is still being extended). Violation entries are
-    ``(constraint id, period, magnitude)``.
+    Only periods ``start``..``up_to`` are checked; the initial state (period
+    0) is checked when ``start`` is 1. A plan prefix that is extended round
+    by round passes ``up_to`` = its last period and ``start`` = the first
+    period that changed since its last passing check.
+
+    Violation entries are ``(constraint id, period, magnitude)``, ordered by
+    period and, within a period, as C7, C14 (period 0 only), then C3, C4
+    (capital sufficiency), C4 (end capital), C5, C6, C8, C9, C14, C15 (y, v,
+    w, Ed).
     """
     T = inst.T if up_to is None else min(up_to, inst.T)
-    y, v = traj.plan.y, traj.plan.v
+    lo = max(start, 1) - 1
     bad: list[tuple[str, int, float]] = []
-
-    def _check(cid: str, t: int, magnitude: float):
-        if magnitude > tol:
-            bad.append((cid, t, float(magnitude)))
-
-    _check("C7", 0, abs(traj.B[0] - inst.B0))
-    _check("C14", 0, abs(traj.I[0]))
-    w_prev = 0.0
-    for t in range(T):
-        k = t + 1  # 1-based period for reporting
-        # C3: no production without a setup
-        if traj.x[t] == 0:
-            _check("C3", k, y[t])
-        # C4: capital sufficiency, plus end-of-period capital nonnegativity
-        _check("C4", k, inst.s[t] * traj.x[t] + inst.c[t] * y[t] - traj.B[t])
-        _check("C4", k, -traj.B[t + 1])
-        # C5: lost sales cannot exceed effective demand
-        _check("C5", k, traj.w[t] - traj.Ed[t])
-        # C6: inventory flow balance
-        _check("C6", k, abs(traj.I[t + 1] - (traj.I[t] + y[t] - v[t])))
-        # C8: capital flow balance, with the one-time loan repayment
-        b_expect = (traj.B[t] + inst.p[t] * v[t] - inst.h[t] * traj.I[t + 1]
-                    - inst.s[t] * traj.x[t] - inst.c[t] * y[t])
-        if inst.BL > 0 and k == inst.TL:
-            b_expect -= inst.repayment
-        _check("C8", k, abs(traj.B[t + 1] - b_expect))
-        # C9: effective demand recursion (closed form)
-        _check("C9", k, abs(traj.Ed[t] - effective_demand(inst.d[t], w_prev, inst.beta)))
-        # C14/C15: nonnegativity
-        _check("C14", k, -traj.I[t + 1])
-        _check("C15", k, -y[t])
-        _check("C15", k, -v[t])
-        _check("C15", k, -traj.w[t])
-        _check("C15", k, -traj.Ed[t])
-        w_prev = traj.w[t]
+    if lo == 0:
+        for cid, magnitude in (("C7", abs(traj.B[0] - inst.B0)),
+                               ("C14", abs(traj.I[0]))):
+            if magnitude > tol:
+                bad.append((cid, 0, float(magnitude)))
+    if T <= lo:
+        return FeasibilityReport(feasible=not bad, violations=tuple(bad))
+    y, v, x = traj.plan.y[lo:T], traj.plan.v[lo:T], traj.x[lo:T]
+    Ed, w = traj.Ed[lo:T], traj.w[lo:T]
+    I_in, I_out = traj.I[lo:T], traj.I[lo + 1 : T + 1]
+    B_in, B_out = traj.B[lo:T], traj.B[lo + 1 : T + 1]
+    w_prev = traj.w[lo - 1 : T - 1] if lo else np.append(0.0, w[:-1])
+    setup, make = inst.s[lo:T] * x, inst.c[lo:T] * y
+    # one row per constraint, in reporting order; a row holds each period's
+    # violation magnitude, and NaN where the constraint does not apply
+    magnitudes = np.empty((len(_CHECK_IDS), T - lo))
+    # C3: no production without a setup
+    magnitudes[0] = np.where(x == 0, y, np.nan)
+    # C4: capital sufficiency, then end-of-period capital nonnegativity
+    np.subtract(setup + make, B_in, out=magnitudes[1])
+    np.negative(B_out, out=magnitudes[2])
+    # C5: lost sales cannot exceed effective demand
+    np.subtract(w, Ed, out=magnitudes[3])
+    # C6: inventory flow balance
+    np.abs(I_out - (I_in + y - v), out=magnitudes[4])
+    # C8: capital flow balance, with the one-time loan repayment
+    b_expect = B_in + inst.p[lo:T] * v - inst.h[lo:T] * I_out - setup - make
+    if inst.BL > 0 and lo < inst.TL <= T:
+        b_expect[inst.TL - 1 - lo] -= inst.repayment
+    np.abs(B_out - b_expect, out=magnitudes[5])
+    # C9: effective demand recursion; fmax clamps like effective_demand up
+    # to the sign of a zero, which the magnitude drops
+    ed_expect = np.fmax(inst.d[lo:T] - inst.beta * w_prev, 0.0)
+    np.abs(Ed - ed_expect, out=magnitudes[6])
+    # C14/C15: nonnegativity of I, y, v, w and Ed
+    for row, arr in enumerate((I_out, y, v, w, Ed), start=7):
+        np.negative(arr, out=magnitudes[row])
+    # transposed, nonzero lists the hits period by period
+    periods, kinds = np.nonzero((magnitudes > tol).T)
+    bad.extend((_CHECK_IDS[k], lo + t + 1, float(magnitudes[k, t]))
+               for t, k in zip(periods.tolist(), kinds.tolist()))
     return FeasibilityReport(feasible=not bad, violations=tuple(bad))
 
 

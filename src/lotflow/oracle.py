@@ -26,7 +26,7 @@ import numpy as np
 
 from .frh import Solution
 from .lp import LpProblem, LpStatus, LpNumericalError, lp_solve
-from .model import Instance, Plan, evaluate_plan
+from .model import Instance, Plan, check_feasibility, evaluate_plan
 
 
 class OracleGuardError(ValueError):
@@ -201,6 +201,10 @@ def solve_exact(inst: Instance, cfg: OracleConfig | None = None) -> Solution:
                         lp_count=lp_count, degenerate=True)
     # re-evaluate through the forward dynamics to get a clean trajectory
     traj = evaluate_plan(inst, best_plan)
+    if not check_feasibility(inst, traj).feasible:
+        # a simplex pivot on a tiny element can leave the LP point off its
+        # own rows; such a plan is no optimum of the model
+        raise LpNumericalError("oracle optimum fails the feasibility check")
     return Solution(trajectory=traj, objective=traj.objective, lp_count=lp_count)
 
 

@@ -1,13 +1,19 @@
 """Command-line interface: artifacts, exit codes, report aggregation."""
 
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from lotflow import gen_table1
+from lotflow import (Instance, Plan, check_feasibility, evaluate_plan,
+                     gen_table1)
 from lotflow.cli import main
 
 
@@ -82,6 +88,18 @@ class TestSolve:
             code = main(["solve", "--engine", engine, "--in", str(path),
                          "--out", str(tmp_path / "out")])
         assert code in (2, 4)
+
+    def test_oracle_plan_off_its_rows_exit_code(self, tmp_path):
+        # a phase-1 pivot on h = 2**-24 leaves the oracle's LP point 1e-6 off
+        # its inventory row; the re-evaluated plan would hold -1e-6 units
+        inst = {"T": 5, "d": [0, 1, 0, 0, 0], "p": [0, 3, 0, 0, 0],
+                "c": [1] * 5, "h": [0, 0, 0, 0, 2.0**-24], "s": [0] * 5,
+                "Bc": 402.0}
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(inst), encoding="utf-8")
+        code = main(["solve", "--engine", "oracle", "--in", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 4
 
     def test_integral_float_horizon_accepted(self, tmp_path):
         path = tmp_path / "inst.json"
@@ -189,17 +207,17 @@ class TestBench:
         from lotflow import gen_random_small
         from lotflow.cli import _bench_one
         inst = gen_random_small(seed=8, T=4, beta=0.5)
-        row = _bench_one((0, inst.to_dict(), {}, True, 8))
+        row = _bench_one(0, inst, {}, True, 8)
         assert row["oracle_objective"] is not None
         assert row["deviation"] >= 0.0
         assert row["error"] is None
 
     def test_bench_row_records_lp_input_error(self):
         from lotflow.cli import _bench_one
-        inst = {"T": 3, "d": [30, 40, 50], "p": [1e308] * 3, "c": [5] * 3,
-                "h": [1] * 3, "s": [100] * 3, "Bc": 500.0}
+        inst = Instance(T=3, d=[30, 40, 50], p=[1e308] * 3, c=[5] * 3,
+                        h=[1] * 3, s=[100] * 3, Bc=500.0)
         with np.errstate(all="ignore"):
-            row = _bench_one((0, inst, {}, False, 8))
+            row = _bench_one(0, inst, {}, False, 8)
         assert row["error"].startswith("LpError")
 
     def test_aggregates_match_rows(self, tmp_path):
@@ -210,3 +228,87 @@ class TestBench:
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
         total = sum(cell["cases"] for cell in summary["pivot"])
         assert total == len(rows)
+        degenerate = sum(row["degenerate"] == "True" for row in rows)
+        assert sum(cell["degenerate"] for cell in summary["pivot"]) == degenerate
+        with (out / "summary.csv").open(encoding="utf-8") as fh:
+            assert "degenerate" in csv.DictReader(fh).fieldnames
+
+        # a run whose loan cannot be repaid is counted in its group
+        from lotflow import gen_random_small
+        from lotflow.cli import RunReport, _bench_one
+        unpayable = Instance(T=2, d=[1, 1], p=[1, 1], c=[1, 1], h=[1, 1],
+                             s=[100, 100], Bc=0.0, BL=100.0, TL=1, r=10.0)
+        report = RunReport(scheme="table2")
+        for idx, inst in enumerate([unpayable, gen_random_small(seed=3, T=2, beta=0.0)]):
+            report.add(**_bench_one(idx, inst, {}, False, 8))
+        assert [row["degenerate"] for row in report.rows] == [True, False]
+        [cell] = report.summaries()
+        assert (cell["group"], cell["cases"], cell["degenerate"]) == ("T=2", 2, 1)
+
+
+# field values that no instance accepts, mixed in with valid small ones
+_JUNK = st.sampled_from(["x", "", None, math.nan, math.inf, -math.inf, -1.0,
+                         -1e308, 1e308, 1e300, [], {}, [1.0], True])
+
+
+def _valid_vector(T, lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=T, max_size=T)
+
+
+@st.composite
+def _instance_objects(draw):
+    T = draw(st.integers(1, 6))
+    valid = {
+        "d": _valid_vector(T, 0.0, 100.0), "p": _valid_vector(T, 0.0, 40.0),
+        "c": _valid_vector(T, 0.5, 20.0), "h": _valid_vector(T, 0.0, 5.0),
+        "s": _valid_vector(T, 0.0, 300.0), "Bc": st.floats(0.0, 2000.0),
+        "BL": st.floats(0.0, 500.0), "TL": st.integers(1, T),
+        "r": st.floats(0.0, 0.5), "beta": st.floats(0.0, 1.0),
+    }
+    broken = draw(st.sets(st.sampled_from(["T", *valid]), max_size=3))
+    obj = {"T": draw(_JUNK) if "T" in broken else T}
+    for name, strategy in valid.items():
+        kind = draw(st.sampled_from(("junk", "length", "missing"))) \
+            if name in broken else "valid"
+        if kind == "valid":
+            obj[name] = draw(strategy)
+        elif kind == "junk":
+            obj[name] = draw(_JUNK)
+        elif kind == "length":
+            obj[name] = draw(st.lists(st.floats(0.0, 100.0), max_size=T + 2))
+    return obj
+
+
+def _load_plan(path):
+    with path.open(encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    y = [float(row[2]) for row in rows[:-1]]
+    v = [float(row[3]) for row in rows[:-1]]
+    return Plan(y, v), float(rows[-1][1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_instance_objects(), st.sampled_from(("frh", "oracle")), st.integers(4, 8))
+def test_any_instance_object_keeps_the_exit_code_contract(obj, engine, max_T):
+    """Any JSON object exits 0, 2, 3 or 4, and every plan written with exit 0
+    re-evaluates to its objective and passes the feasibility check unless
+    the run says it is degenerate."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        out = Path(tmp) / "out"
+        with np.errstate(all="ignore"), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["solve", "--engine", engine, "--in", str(path),
+                         "--out", str(out), "--max-T", str(max_T)])
+        assert code in (0, 2, 3, 4)
+        event(f"exit {code}")
+        if code != 0:
+            return
+        inst = Instance.from_dict(obj)
+        plan, objective = _load_plan(out / f"inst_{engine}_trajectory.csv")
+        traj = evaluate_plan(inst, plan)
+        assert traj.objective == objective
+        diag = json.loads((out / f"inst_{engine}_diagnostics.json").read_text(encoding="utf-8"))
+        if not diag["degenerate"]:
+            assert check_feasibility(inst, traj).feasible

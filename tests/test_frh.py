@@ -111,6 +111,24 @@ class TestDegenerateRuns:
         assert sol.degenerate
         assert not check_feasibility(inst, sol.trajectory).feasible
 
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_rounds_after_a_degenerate_period_are_rejected(self, beta):
+        """B0 = 100 and 100 * 2**2 = 400 falls due at the end of period 2.
+        Period 1 sells 10 units made there: B1 = 100 + 100 - 5 - 10 = 185.
+        No plan reaches 400 by period 2 (at best 100 - 25 + 200 = 275), so
+        period 2 is committed degenerate with B2 = -215, and every later
+        candidate, built on that slot or not, inherits the shortfall. The
+        plan stays the period-1 round: objective -215 - 100 = -315."""
+        inst = Instance(T=4, d=[10] * 4, p=[10] * 4, c=[1] * 4, h=[0] * 4,
+                        s=[5] * 4, Bc=0.0, BL=100.0, TL=2, r=1.0, beta=beta)
+        sol = solve_frh(inst)
+        assert sol.degenerate
+        assert sol.objective == -315.0
+        assert list(sol.trajectory.plan.y) == [10.0, 0.0, 0.0, 0.0]
+        assert check_feasibility(inst, sol.trajectory).violations == (
+            ("C4", 2, 215.0), ("C4", 3, 215.0), ("C4", 3, 215.0),
+            ("C4", 4, 215.0), ("C4", 4, 215.0))
+
 
 class TestAgainstOracle:
     def test_optimal_on_constant_cost_no_goodwill(self):

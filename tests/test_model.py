@@ -1,5 +1,6 @@
 """Domain model: instance validation, plan evaluation, feasibility checks."""
 
+import dataclasses
 import json
 import math
 
@@ -188,3 +189,188 @@ def test_evaluate_plan_objective_identity(T, seed):
     traj = evaluate_plan(inst, Plan(y, v))
     assert traj.objective == pytest.approx(float(traj.B[T] - inst.B0))
     assert math.isfinite(traj.objective)
+
+
+def _random_instance(rng, T, with_loan):
+    loan = dict(BL=float(rng.uniform(0, 300)), TL=int(rng.integers(1, T + 1)),
+                r=float(rng.uniform(0, 0.5))) if with_loan else {}
+    return Instance(T=T, d=rng.uniform(0, 50, T), p=rng.uniform(0, 30, T),
+                    c=rng.uniform(1, 20, T), h=rng.uniform(0, 5, T),
+                    s=rng.uniform(0, 200, T), Bc=float(rng.uniform(0, 1000)),
+                    beta=float(rng.choice([0.0, 0.5, rng.uniform(0, 1)])), **loan)
+
+
+def _random_plan(rng, inst):
+    # idle periods and launches; sales may exceed demand or stock
+    T = inst.T
+    y = rng.uniform(0, 80, T) * (rng.random(T) < 0.6)
+    v = rng.uniform(0, 60, T) * (rng.random(T) < 0.9)
+    return Plan(y, v)
+
+
+def _assert_same_trajectory(traj, ref):
+    for name in ("x", "Ed", "w", "I", "B"):
+        got, want = getattr(traj, name), getattr(ref, name)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), name
+        assert not got.flags.writeable
+    assert repr(traj.objective) == repr(ref.objective)
+
+
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
+def test_evaluation_from_a_base_equals_full_evaluation(T, seed, with_loan):
+    """A plan that equals a base before period m, evaluated from m on the
+    base's state, is bit for bit its full evaluation."""
+    rng = np.random.default_rng(seed)
+    inst = _random_instance(rng, T, with_loan)
+    base = evaluate_plan(inst, _random_plan(rng, inst))
+    m = int(rng.integers(1, T + 2))
+    tail = _random_plan(rng, inst)
+    plan = Plan(np.concatenate((base.plan.y[: m - 1], tail.y[m - 1:])),
+                np.concatenate((base.plan.v[: m - 1], tail.v[m - 1:])))
+    traj = evaluate_plan(inst, plan, base, m)
+    _assert_same_trajectory(traj, evaluate_plan(inst, plan))
+    assert traj.x.dtype.kind == "i"
+
+
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
+def test_check_from_a_passing_period_equals_full_check(T, seed, with_loan):
+    """On a trajectory whose periods 1..m-1 pass, checking from m gives the
+    full check's verdict and violations."""
+    rng = np.random.default_rng(seed)
+    inst = _random_instance(rng, T, with_loan)
+    traj = evaluate_plan(inst, _random_plan(rng, inst))
+    # every period before the first violation passes
+    first_bad = min((k for _, k, _ in check_feasibility(inst, traj).violations),
+                    default=T + 1)
+    m = int(rng.integers(1, max(first_bad, 1) + 1))
+    up_to = int(rng.integers(max(m - 1, 0), T + 1))
+    full = check_feasibility(inst, traj, up_to=up_to)
+    report = check_feasibility(inst, traj, up_to=up_to, start=m)
+    assert report.feasible == full.feasible
+    assert report.violations == full.violations
+
+
+class TestViolations:
+    """Each constraint kind is reported on its own, and in a fixed order."""
+
+    PLAN = Plan([70.0, 0.0, 20.0], [30.0, 40.0, 20.0])  # feasible, see above
+
+    def _violations(self, inst, traj):
+        return check_feasibility(inst, traj).violations
+
+    def _broken(self, inst=None, **arrays):
+        """The feasible plan's trajectory with some arrays bumped by +1."""
+        inst = inst or make_instance()
+        traj = evaluate_plan(inst, self.PLAN)
+        assert check_feasibility(inst, traj).feasible
+        bumped = {}
+        for name, index in arrays.items():
+            arr = np.array(getattr(traj, name), dtype=float)
+            arr[index] += 1.0
+            bumped[name] = arr
+        return inst, dataclasses.replace(traj, **bumped)
+
+    def test_c3_production_without_setup(self):
+        # period 3 launches, but its setup flag is cleared; a free setup there
+        # leaves the capital rows unchanged
+        inst = make_instance(s=[100, 100, 0])
+        traj = evaluate_plan(inst, self.PLAN)
+        broken = dataclasses.replace(traj, x=np.array([1, 0, 0]))
+        assert self._violations(inst, broken) == (("C3", 3, 20.0),)
+
+    def test_c4_capital_sufficiency(self):
+        # the launch costs 100 + 5 * 70 = 450 against 400 on hand; same-period
+        # sales keep the end capital positive
+        inst = make_instance(Bc=400.0)
+        traj = evaluate_plan(inst, self.PLAN)
+        assert self._violations(inst, traj) == (("C4", 1, 50.0),)
+
+    def test_c4_end_capital(self):
+        # 500 * 2**3 = 4000 falls due at the end of period 3, capital is 600
+        inst = make_instance(Bc=100.0, BL=500.0, TL=3, r=1.0)
+        traj = evaluate_plan(inst, Plan.null(3))
+        assert self._violations(inst, traj) == (("C4", 3, 3400.0),)
+
+    def test_c5_lost_sales_above_effective_demand(self):
+        # 41 units lost against Ed = 40; without goodwill loss, lost sales
+        # feed no later period
+        inst = make_instance()
+        traj = evaluate_plan(inst, self.PLAN)
+        broken = dataclasses.replace(traj, w=traj.w + [0.0, 41.0, 0.0])
+        assert self._violations(inst, broken) == (("C5", 2, 1.0),)
+
+    def test_c6_inventory_balance(self):
+        # final stock carries no holding cost, so only the balance breaks
+        inst, traj = self._broken(make_instance(h=[1, 1, 0]), I=3)
+        assert self._violations(inst, traj) == (("C6", 3, 1.0),)
+
+    def test_c7_initial_capital(self):
+        inst = make_instance()
+        traj = evaluate_plan(inst, self.PLAN)
+        poorer = dataclasses.replace(inst, Bc=499.0)
+        assert self._violations(poorer, traj) == (("C7", 0, 1.0),)
+
+    def test_c8_capital_balance(self):
+        inst, traj = self._broken(B=3)
+        assert self._violations(inst, traj) == (("C8", 3, 1.0),)
+
+    def test_c9_effective_demand(self):
+        inst, traj = self._broken(Ed=1)
+        assert self._violations(inst, traj) == (("C9", 2, 1.0),)
+
+    def test_c9_accepts_demand_shrunk_to_zero(self):
+        # 30 units lost in period 1 wipe out period 2's demand of 10
+        inst = make_instance(d=[30, 10, 20], beta=1.0)
+        traj = evaluate_plan(inst, Plan.null(3))
+        assert list(traj.Ed) == [30.0, 0.0, 20.0]
+        assert self._violations(inst, traj) == ()
+        broken = dataclasses.replace(traj, Ed=np.array([30.0, -1.0, 20.0]))
+        assert self._violations(inst, broken) == (
+            ("C5", 2, 1.0), ("C9", 2, 1.0), ("C15", 2, 1.0))
+
+    def test_c14_negative_inventory(self):
+        inst = make_instance()
+        traj = evaluate_plan(inst, Plan([10.0, 0, 0], [10.0, 5.0, 0]))
+        assert self._violations(inst, traj) == (("C14", 2, 5.0), ("C14", 3, 5.0))
+
+    def test_c15_negative_lost_sales(self):
+        inst = make_instance()
+        traj = evaluate_plan(inst, Plan([50.0, 0, 0], [50.0, 0, 0]))
+        assert self._violations(inst, traj) == (("C15", 1, 20.0),)
+
+    def test_c14_initial_inventory(self):
+        # one unit of stock throughout; free holding keeps capital balanced
+        inst = make_instance(h=[0, 0, 0])
+        traj = evaluate_plan(inst, self.PLAN)
+        shifted = dataclasses.replace(traj, I=traj.I + 1.0)
+        assert self._violations(inst, shifted) == (("C14", 0, 1.0),)
+
+    def test_c15_negative_production(self):
+        # one unit "unmade" in period 2 after one extra in period 1
+        inst = make_instance()
+        traj = evaluate_plan(inst, Plan([71.0, -1.0, 20.0], [30.0, 40.0, 20.0]))
+        assert self._violations(inst, traj) == (("C15", 2, 1.0),)
+
+    def test_c15_negative_sales(self):
+        # selling -1 books the unit as lost sales beyond demand (C5) unless
+        # w is kept at the demand; nothing else ties w to v
+        inst = make_instance()
+        traj = evaluate_plan(inst, Plan([30.0, 0.0, 20.0], [30.0, -1.0, 20.0]))
+        traj = dataclasses.replace(traj, w=np.array([0.0, 40.0, 0.0]))
+        assert self._violations(inst, traj) == (("C15", 2, 1.0),)
+
+    def test_order_across_kinds_and_periods(self):
+        """Period 1: the launch costs 100 + 150 = 250 against B0 = 150 (C4).
+        Period 2: 10 sold from no stock (C14, I = -10); Ed is bumped by 2
+        (C9). Period 3: 25 sold against Ed = 20 (C15 on w = -5) from stock
+        -10 (C14, I = -35)."""
+        inst = make_instance(Bc=100.0, BL=50.0, TL=2, r=1.0)
+        traj = evaluate_plan(inst, Plan([30.0, 0, 0], [30.0, 10.0, 25.0]))
+        traj = dataclasses.replace(traj, Ed=traj.Ed + [0.0, 2.0, 0.0])
+        assert self._violations(inst, traj) == (
+            ("C4", 1, 100.0), ("C9", 2, 2.0), ("C14", 2, 10.0),
+            ("C14", 3, 35.0), ("C15", 3, 5.0))
+        # from period 2 on, only the later ones; period 1 is not looked at
+        assert check_feasibility(inst, traj, start=2).violations == (
+            ("C9", 2, 2.0), ("C14", 2, 10.0), ("C14", 3, 35.0), ("C15", 3, 5.0))

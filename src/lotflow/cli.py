@@ -23,7 +23,7 @@ from .generators import (Table2Config, Table5Config, gen_random_small,
                          grid_table5, instance_filename)
 from .lp import LpError, LpNumericalError
 from .model import Instance, InputError, trajectory_to_csv
-from .oracle import OracleConfig, OracleGuardError, solve_exact
+from .oracle import OracleConfig, OracleGuardError, relative_gap, solve_exact
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -157,8 +157,7 @@ def _bench_one(idx: int, inst: Instance, cfg_fields: dict, run_oracle: bool,
         if run_oracle and inst.T <= oracle_max_t:
             exact = solve_exact(inst, OracleConfig(max_T=oracle_max_t))
             row["oracle_objective"] = exact.objective
-            gap = exact.objective - sol.objective
-            row["deviation"] = max(0.0, gap / max(abs(exact.objective), 1e-12))
+            row["deviation"] = relative_gap(exact.objective, sol.objective)
     except (LpNumericalError, LpError, InputError, OracleGuardError) as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
         row.setdefault("frh_time", float("nan"))

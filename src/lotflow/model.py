@@ -262,6 +262,63 @@ def evaluate_plan(inst: Instance, plan: Plan, base: Trajectory | None = None,
                       objective=float(B[T] - inst.B0))
 
 
+def demand_affine(inst: Instance, m: int, n: int, w_in: float, deltas=None):
+    """Effective demand of periods m..n as ``ed @ v + ed0``, and the shrink.
+
+    ``v`` holds the realized demands of the window (local index 0..n-m) and
+    ``w_in`` the lost sales of period m - 1. The shrink ``shrink @ v +
+    shrink0`` is ``d_t - beta * w_{t-1}``, the effective demand of a
+    surviving period (row 0, period m, is left zero). Without ``deltas``
+    every period survives; with ``deltas`` the flagged-dead periods are
+    pinned to zero.
+    """
+    L = n - m + 1
+    beta = inst.beta
+    d = inst.d[m - 1 : n]
+    ed, shrink = np.zeros((L, L)), np.zeros((L, L))
+    ed0, shrink0 = np.zeros(L), np.zeros(L)
+    ed0[0] = effective_demand(d[0], w_in, beta)
+    for k in range(1, L):
+        # lost sales w_{k-1} = ed_{k-1} - v_{k-1}
+        shrink[k] = -beta * ed[k - 1]
+        shrink[k, k - 1] += beta
+        shrink0[k] = d[k] - beta * ed0[k - 1]
+        if deltas is None or deltas[k] != 0:
+            ed[k], ed0[k] = shrink[k], shrink0[k]
+    return ed, ed0, shrink, shrink0
+
+
+def capital_affine(inst: Instance, m: int, Y: np.ndarray, V: np.ndarray,
+                   x, B_in: float):
+    """End-of-period capital from period m on as ``cap @ z + cap0``.
+
+    Local period k (period m + k) produces ``Y[k] @ z``, realizes demand
+    ``V[k] @ z`` and has setup ``x[k]``; ``B_in`` is the capital at the end
+    of period m - 1 and inventory starts from zero. This is the recursion of
+    :func:`evaluate_plan`. Also returns the capital-sufficiency rows
+    ``need @ z <= need0``: setup and production of period m + k are paid
+    from the capital at the end of period m + k - 1.
+    """
+    L = len(Y)
+    p, h, c, s = (a[m - 1 : m - 1 + L] for a in (inst.p, inst.h, inst.c, inst.s))
+    make = c[:, None] * Y
+    # row k holds the capital at the end of local period k - 1; the stock
+    # is cumsum(Y - V), and cumsum adds in period order
+    cap = np.zeros((L + 1, Y.shape[1]))
+    np.cumsum(p[:, None] * V - h[:, None] * np.cumsum(Y - V, axis=0) - make,
+              axis=0, out=cap[1:])
+    cap0 = np.empty(L + 1)
+    b = cap0[0] = B_in
+    due = inst.TL - m if inst.BL > 0 else -1
+    for k in range(L):
+        if x[k]:
+            b -= s[k]
+        if k == due:
+            b -= inst.repayment
+        cap0[k + 1] = b
+    return cap[1:], cap0[1:], make - cap[:-1], cap0[:-1] - s * x
+
+
 # the per-period constraint rows of check_feasibility, in reporting order
 _CHECK_IDS = ("C3", "C4", "C4", "C5", "C6", "C8", "C9", "C14",
               "C15", "C15", "C15", "C15")

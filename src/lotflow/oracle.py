@@ -8,7 +8,10 @@ patterns share one incumbent. At a node of depth ``k`` the setups of periods
 before ``k`` are fixed; later periods may still produce, with their setup
 cost dropped. Setup costs are nonnegative, so that LP relaxes every
 completion of the node and its optimum bounds them from above. Every LP is
-in the continuous variables alone: no big-M constants appear anywhere.
+in the production and realized demands (y, v) alone: with the setups and
+the survival pattern fixed, effective demand, inventory and capital are
+affine in them (``model.demand_affine`` and ``model.capital_affine``), so
+every row is a ``<=`` row and no big-M constants appear anywhere.
 
 A node is pruned when its LP is infeasible or its bound cannot beat the
 incumbent. When no undecided period produces in a node's optimum, the
@@ -26,7 +29,8 @@ import numpy as np
 
 from .frh import Solution
 from .lp import LpProblem, LpStatus, LpNumericalError, lp_solve
-from .model import Instance, Plan, check_feasibility, evaluate_plan
+from .model import (Instance, Plan, capital_affine, check_feasibility,
+                    demand_affine, evaluate_plan)
 
 
 class OracleGuardError(ValueError):
@@ -68,68 +72,35 @@ def _delta_patterns(inst: Instance):
 
 def _combo_lp(inst: Instance, x: np.ndarray, delta: np.ndarray,
               k: int) -> LpProblem:
-    """LP over (y, v, w, Ed, I, B) for a survival pattern and a search node.
+    """LP over (y, v) for a survival pattern and a search node.
 
     The setups of periods before ``k`` are fixed to ``x``; periods from ``k``
-    on may produce without paying their setup cost.
+    on may produce without paying their setup cost. Effective demand,
+    inventory and capital are affine in (y, v), so every row is a ``<=``
+    row.
     """
     T = inst.T
     t = np.arange(T)
     x = np.where(t < k, x, 0)
-    # variable layout
-    Y, V, W, E, Iv, Bv = (t + i * T for i in range(6))
-    n = 6 * T
-    obj = np.zeros(n)
-    obj[Bv[T - 1]] = 1.0
-    hi = np.full(n, math.inf)
-    hi[Y[(t < k) & (x == 0)]] = 0.0
-
-    # seven rows per period, by kind 0..6; periods 2..T (``later``) also
-    # refer to the columns of periods 1..T-1 (``prev``)
-    A = np.zeros((T, 7, n))
-    rhs = np.zeros((T, 7))
-    sense = np.tile([1, 0, 0, 1, 0, 0, 1], (T, 1))
-    later, prev = t[1:], t[:-1]
-    b_prev_rhs = np.where(t == 0, inst.B0, 0.0) - inst.s * x
-    # 0: capital sufficiency
-    A[t, 0, Y] = inst.c
-    A[later, 0, Bv[prev]] = -1.0
-    rhs[:, 0] = b_prev_rhs
-    # 1: inventory balance
-    A[t, 1, Iv] = 1.0
-    A[later, 1, Iv[prev]] = -1.0
-    A[t, 1, Y] = -1.0
-    A[t, 1, V] = 1.0
-    # 2: realized demand identity
-    A[t, 2, V] = 1.0
-    A[t, 2, W] = 1.0
-    A[t, 2, E] = -1.0
-    # 3: lost sales within effective demand
-    A[t, 3, W] = 1.0
-    A[t, 3, E] = -1.0
-    # 4: capital balance with one-time repayment
-    A[t, 4, Bv] = 1.0
-    A[later, 4, Bv[prev]] = -1.0
-    A[t, 4, V] = -inst.p
-    A[t, 4, Iv] = inst.h
-    A[t, 4, Y] = inst.c
-    rhs[:, 4] = b_prev_rhs
-    if inst.BL > 0:
-        rhs[inst.TL - 1, 4] -= inst.repayment
-    # 5: effective demand per the survival flag
-    alive = delta == 1
-    A[t, 5, E] = 1.0
-    A[later, 5, W[prev]] = inst.beta * alive[later]
-    rhs[:, 5] = np.where(alive, inst.d, 0.0)
-    # 6: a surviving period's shrink stays positive, a dead one's does not
-    side = np.where(alive, 1.0, -1.0)
-    A[later, 6, W[prev]] = side[later] * inst.beta
-    rhs[:, 6] = side * inst.d
-    # no lost sales precede period 1, so a surviving period 1 has no row 6
-    keep = np.ones((T, 7), dtype=bool)
-    keep[0, 6] = not alive[0]
-    return LpProblem(objective=obj, rows=A[keep], sense=sense[keep],
-                     rhs=rhs[keep], hi=hi, objective_offset=-inst.B0)
+    Y, V = np.eye(T, 2 * T), np.eye(T, 2 * T, T)
+    cap, cap0, need, need0 = capital_affine(inst, 1, Y, V, x, inst.B0)
+    ed, ed0, shrink, shrink0 = demand_affine(inst, 1, T, 0.0, delta)
+    # a surviving period's shrink stays nonnegative, a dead one's does not
+    # exceed zero; period 1 always survives and has no lost sales before it
+    side = np.where(delta[1:] == 1, -1.0, 1.0)
+    rows = np.vstack([
+        need,                                   # capital sufficiency
+        -cap,                                   # B >= 0
+        np.cumsum(V - Y, axis=0),               # I >= 0
+        V - ed @ V,                             # v <= Ed
+        side[:, None] * (shrink[1:] @ V),       # survival
+    ])
+    rhs = np.concatenate([need0, cap0, np.zeros(T), ed0, -side * shrink0[1:]])
+    hi = np.full(2 * T, math.inf)
+    hi[:T][(t < k) & (x == 0)] = 0.0
+    return LpProblem(objective=cap[-1], rows=rows,
+                     sense=np.ones(len(rhs), dtype=int), rhs=rhs, hi=hi,
+                     objective_offset=cap0[-1] - inst.B0)
 
 
 def _beats(bound: float, incumbent: float) -> bool:
@@ -171,8 +142,12 @@ def solve_exact(inst: Instance, cfg: OracleConfig | None = None) -> Solution:
             if sol.status is LpStatus.UNBOUNDED:
                 # capital caps production and demand caps sales
                 raise LpNumericalError("oracle sub-LP unexpectedly unbounded")
-            if (sol.status is not LpStatus.OPTIMAL
-                    or not _beats(sol.objective_value, best_val)):
+            if sol.status is not LpStatus.OPTIMAL:
+                continue
+            if not math.isfinite(sol.objective_value):
+                # overflowing data reaches the rows and the objective
+                raise LpNumericalError("oracle sub-LP optimum is not finite")
+            if not _beats(sol.objective_value, best_val):
                 continue
             y = sol.x[:T]
             if k == T:
@@ -215,6 +190,9 @@ def deviation(inst: Instance, cfg: OracleConfig | None = None,
 
     exact = solve_exact(inst, cfg)
     heur = frh_solution if frh_solution is not None else solve_frh(inst)
-    gap = exact.objective - heur.objective
-    rel = gap / max(abs(exact.objective), 1e-12)
-    return max(0.0, rel)
+    return relative_gap(exact.objective, heur.objective)
+
+
+def relative_gap(exact: float, heuristic: float) -> float:
+    """Relative shortfall of a heuristic objective below the exact one, >= 0."""
+    return max(0.0, (exact - heuristic) / max(abs(exact), 1e-12))

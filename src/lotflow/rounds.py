@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import LpProblem, LpSolution, LpStatus, LpNumericalError, lp_solve
-from .model import Instance, effective_demand
+from .model import Instance, capital_affine, demand_affine, effective_demand
 
 # closes the strict inequality used when a period's demand is flagged dead
 TOL_STRICT = 1e-9
@@ -79,30 +79,6 @@ def _cycle_bounds(spec: RoundSpec):
     return list(zip(starts, ends))
 
 
-def _ed_affine(inst: Instance, spec: RoundSpec, deltas=None):
-    """Effective demand per period as ``ed @ v + ed0``, and the shrink.
-
-    The shrink ``shrink @ v + shrink0`` is ``d_t - beta * w_{t-1}``, the
-    effective demand of a surviving period (row 0, period m, is left zero).
-    Without ``deltas`` every period survives; with ``deltas`` the
-    flagged-dead periods are pinned to zero.
-    """
-    L = spec.n - spec.m + 1
-    beta = inst.beta
-    d = inst.d[spec.m - 1 : spec.n]
-    ed, shrink = np.zeros((L, L)), np.zeros((L, L))
-    ed0, shrink0 = np.zeros(L), np.zeros(L)
-    ed0[0] = effective_demand(d[0], spec.w_in, beta)
-    for k in range(1, L):
-        # lost sales w_{k-1} = ed_{k-1} - v_{k-1}
-        shrink[k] = -beta * ed[k - 1]
-        shrink[k, k - 1] += beta
-        shrink0[k] = d[k] - beta * ed0[k - 1]
-        if deltas is None or deltas[k] != 0:
-            ed[k], ed0[k] = shrink[k], shrink0[k]
-    return ed, ed0, shrink, shrink0
-
-
 def _round_lp(inst: Instance, spec: RoundSpec, model: str,
               deltas=None, w_cap: float | None = None) -> LpProblem:
     """Assemble the LP for one of the three round models.
@@ -111,42 +87,28 @@ def _round_lp(inst: Instance, spec: RoundSpec, model: str,
     row is a ``<=`` row.
     """
     L = spec.n - spec.m + 1
-    window = slice(spec.m - 1, spec.n)
-    d, p, c, h, s = (a[window] for a in (inst.d, inst.p, inst.c, inst.h, inst.s))
-    cycles = _cycle_bounds(spec)
-    launch = np.array([a for a, _ in cycles])
-
-    # capital at the end of local period k - 1 is cap[k] @ v + cap0[k],
-    # accumulated forward from B_in; launch_cost[i] @ v buys cycle i
-    cap, cap0 = np.zeros((L + 1, L)), np.zeros(L + 1)
-    cap0[0] = spec.B_in
-    launch_cost = np.zeros((len(cycles), L))
-    for i, (a, b) in enumerate(cycles):
-        launch_cost[i, a:b] = c[a]
-        for k in range(a, b):
-            cap[k + 1], cap0[k + 1] = cap[k], cap0[k]
-            cap[k + 1, k] += p[k]
-            # stock after period k serves the rest of its cycle
-            cap[k + 1, k + 1 : b] -= h[k]
-            if k == a:
-                cap0[k + 1] -= s[k]
-                cap[k + 1, a:b] -= c[k]
-            if inst.BL > 0 and spec.m + k == inst.TL:
-                cap0[k + 1] -= inst.repayment
+    d = inst.d[spec.m - 1 : spec.n]
+    # a cycle launched at a makes every unit its periods a..b-1 realize
+    Y, V, x = np.zeros((L, L)), np.eye(L), np.zeros(L, dtype=int)
+    for a, b in _cycle_bounds(spec):
+        Y[a, a:b], x[a] = 1.0, 1
+    launch = np.flatnonzero(x)
+    cap, cap0, need, need0 = capital_affine(inst, spec.m, Y, V, x, spec.B_in)
 
     blocks = [
         # per-cycle capital sufficiency at each launch period
-        (launch_cost - cap[launch], cap0[launch] - s[launch]),
+        (need[launch], need0[launch]),
         # end-of-period capital stays nonnegative
-        (-cap[1:], cap0[1:]),
+        (-cap, cap0),
     ]
     hi = d.copy()
     if model != "sub2":
-        ed, ed0, shrink, shrink0 = _ed_affine(inst, spec, deltas)
+        ed, ed0, shrink, shrink0 = demand_affine(inst, spec.m, spec.n,
+                                                  spec.w_in, deltas)
         if model == "sub1":
             hi = np.where(ed.any(axis=1), math.inf, ed0)
         # realized demand within effective demand
-        blocks.append((np.eye(L) - ed, ed0))
+        blocks.append((V - ed, ed0))
         if model == "sub3":
             # demand must actually fall below the goodwill shrink
             dead = np.flatnonzero(deltas[1:] == 0) + 1

@@ -6,7 +6,10 @@ optimum to check the simplex implementation against.
 
 ``enumerate_solve`` is the exact oracle without the search: one LP per
 setup pattern and survival pattern, 2^T x |patterns| in all, as a reference
-for the branch and bound in ``lotflow.oracle``.
+for the branch and bound in ``lotflow.oracle``. Its LP, ``equality_lp``,
+states the model in its own 6T columns (y, v, w, Ed, I, B) with equality
+rows for the recursions, so it shares no row with the oracle's node LP in
+(y, v).
 
 ``milp_solve`` states the whole lot-sizing model as one mixed-integer
 program and hands it to ``scipy.optimize.milp`` (HiGHS), giving an optimum
@@ -25,8 +28,7 @@ import numpy as np
 from lotflow.frh import Solution
 from lotflow.lp import LpNumericalError, LpProblem, LpStatus, lp_solve
 from lotflow.model import Instance, Plan, evaluate_plan
-from lotflow.oracle import (OracleConfig, OracleGuardError, _combo_lp,
-                            _delta_patterns)
+from lotflow.oracle import OracleConfig, OracleGuardError, _delta_patterns
 
 VERTEX_FEAS_TOL = 1e-7
 
@@ -86,6 +88,72 @@ def vertex_solve(prob: LpProblem):
     return best, arg
 
 
+def equality_lp(inst: Instance, x: np.ndarray, delta: np.ndarray,
+                k: int) -> LpProblem:
+    """LP over (y, v, w, Ed, I, B) for a survival pattern and a search node.
+
+    The setups of periods before ``k`` are fixed to ``x``; periods from ``k``
+    on may produce without paying their setup cost.
+    """
+    T = inst.T
+    t = np.arange(T)
+    x = np.where(t < k, x, 0)
+    # variable layout
+    Y, V, W, E, Iv, Bv = (t + i * T for i in range(6))
+    n = 6 * T
+    obj = np.zeros(n)
+    obj[Bv[T - 1]] = 1.0
+    hi = np.full(n, math.inf)
+    hi[Y[(t < k) & (x == 0)]] = 0.0
+
+    # seven rows per period, by kind 0..6; periods 2..T (``later``) also
+    # refer to the columns of periods 1..T-1 (``prev``)
+    A = np.zeros((T, 7, n))
+    rhs = np.zeros((T, 7))
+    sense = np.tile([1, 0, 0, 1, 0, 0, 1], (T, 1))
+    later, prev = t[1:], t[:-1]
+    b_prev_rhs = np.where(t == 0, inst.B0, 0.0) - inst.s * x
+    # 0: capital sufficiency
+    A[t, 0, Y] = inst.c
+    A[later, 0, Bv[prev]] = -1.0
+    rhs[:, 0] = b_prev_rhs
+    # 1: inventory balance
+    A[t, 1, Iv] = 1.0
+    A[later, 1, Iv[prev]] = -1.0
+    A[t, 1, Y] = -1.0
+    A[t, 1, V] = 1.0
+    # 2: realized demand identity
+    A[t, 2, V] = 1.0
+    A[t, 2, W] = 1.0
+    A[t, 2, E] = -1.0
+    # 3: lost sales within effective demand
+    A[t, 3, W] = 1.0
+    A[t, 3, E] = -1.0
+    # 4: capital balance with one-time repayment
+    A[t, 4, Bv] = 1.0
+    A[later, 4, Bv[prev]] = -1.0
+    A[t, 4, V] = -inst.p
+    A[t, 4, Iv] = inst.h
+    A[t, 4, Y] = inst.c
+    rhs[:, 4] = b_prev_rhs
+    if inst.BL > 0:
+        rhs[inst.TL - 1, 4] -= inst.repayment
+    # 5: effective demand per the survival flag
+    alive = delta == 1
+    A[t, 5, E] = 1.0
+    A[later, 5, W[prev]] = inst.beta * alive[later]
+    rhs[:, 5] = np.where(alive, inst.d, 0.0)
+    # 6: a surviving period's shrink stays positive, a dead one's does not
+    side = np.where(alive, 1.0, -1.0)
+    A[later, 6, W[prev]] = side[later] * inst.beta
+    rhs[:, 6] = side * inst.d
+    # no lost sales precede period 1, so a surviving period 1 has no row 6
+    keep = np.ones((T, 7), dtype=bool)
+    keep[0, 6] = not alive[0]
+    return LpProblem(objective=obj, rows=A[keep], sense=sense[keep],
+                     rhs=rhs[keep], hi=hi, objective_offset=-inst.B0)
+
+
 def enumerate_solve(inst: Instance, cfg: OracleConfig | None = None) -> Solution:
     """Solve every setup and survival pattern; return the best feasible plan."""
     cfg = cfg or OracleConfig()
@@ -100,7 +168,7 @@ def enumerate_solve(inst: Instance, cfg: OracleConfig | None = None) -> Solution
     for xbits in product((0, 1), repeat=T):
         x = np.array(xbits, dtype=int)
         for delta in deltas:
-            prob = _combo_lp(inst, x, delta, T)
+            prob = equality_lp(inst, x, delta, T)
             lp_count += 1
             sol = lp_solve(prob)
             if sol.status is LpStatus.NUMERICAL_FAILURE:

@@ -13,14 +13,22 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from lotflow import (Instance, Plan, check_feasibility, evaluate_plan,
-                     gen_table1)
+                     gen_table1, oracle)
 from lotflow.cli import main
+from lotflow.lp import LpStatus
 
 
 # a three-period instance with a loan, as read from an instance file
 LOAN_INSTANCE = {"T": 3, "d": [30, 40, 20], "p": [21, 21, 21], "c": [5, 5, 5],
                  "h": [1, 1, 1], "s": [100, 100, 100], "Bc": 200.0,
                  "BL": 300.0, "TL": 2, "r": 0.05, "beta": 0.5}
+
+
+# found by the exit-code property test below: one unit of demand in period 2
+# and a holding cost of 2**-24 in period 5
+TINY_HOLDING_COST = {"T": 5, "d": [0, 1, 0, 0, 0], "p": [0, 3, 0, 0, 0],
+                     "c": [1] * 5, "h": [0, 0, 0, 0, 2.0**-24], "s": [0] * 5,
+                     "Bc": 402.0}
 
 
 def write_instance(tmp_path, inst, name="inst.json"):
@@ -89,14 +97,36 @@ class TestSolve:
                          "--out", str(tmp_path / "out")])
         assert code in (2, 4)
 
-    def test_oracle_plan_off_its_rows_exit_code(self, tmp_path):
-        # a phase-1 pivot on h = 2**-24 leaves the oracle's LP point 1e-6 off
-        # its inventory row; the re-evaluated plan would hold -1e-6 units
-        inst = {"T": 5, "d": [0, 1, 0, 0, 0], "p": [0, 3, 0, 0, 0],
-                "c": [1] * 5, "h": [0, 0, 0, 0, 2.0**-24], "s": [0] * 5,
-                "Bc": 402.0}
+    def test_oracle_solves_the_tiny_holding_cost_instance(self, tmp_path):
+        # h = 2**-24 once drew a phase-1 pivot that left an equality-form
+        # node LP's point 1e-6 off its inventory row; the optimum is the
+        # heuristic's 2.0, with a plan that passes the feasibility check
         path = tmp_path / "inst.json"
-        path.write_text(json.dumps(inst), encoding="utf-8")
+        path.write_text(json.dumps(TINY_HOLDING_COST), encoding="utf-8")
+        out = tmp_path / "out"
+        code = main(["solve", "--engine", "oracle", "--in", str(path),
+                     "--out", str(out)])
+        assert code == 0
+        inst = Instance.from_dict(TINY_HOLDING_COST)
+        plan, objective = _load_plan(out / "inst_oracle_trajectory.csv")
+        traj = evaluate_plan(inst, plan)
+        assert objective == traj.objective == pytest.approx(2.0, rel=1e-12)
+        assert check_feasibility(inst, traj).feasible
+
+    def test_oracle_plan_off_its_rows_exit_code(self, tmp_path, monkeypatch):
+        # an LP point 1e-5 off its own rows re-evaluates to a plan that
+        # fails the feasibility check: no optimum of the model, exit 4
+        solve = oracle.lp_solve
+
+        def off_rows(prob):
+            sol = solve(prob)
+            if sol.status is LpStatus.OPTIMAL:
+                sol.x[TINY_HOLDING_COST["T"] + 1] += 1e-5  # v of period 2
+            return sol
+
+        monkeypatch.setattr(oracle, "lp_solve", off_rows)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(TINY_HOLDING_COST), encoding="utf-8")
         code = main(["solve", "--engine", "oracle", "--in", str(path),
                      "--out", str(tmp_path / "out")])
         assert code == 4

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from lotflow import (Instance, InputError, Plan, TOL_FEAS, check_feasibility,
                      effective_demand, evaluate_plan, trajectory_to_csv)
+from lotflow.model import capital_affine, demand_affine
 
 
 def make_instance(**overrides):
@@ -249,6 +250,61 @@ def test_check_from_a_passing_period_equals_full_check(T, seed, with_loan):
     report = check_feasibility(inst, traj, up_to=up_to, start=m)
     assert report.feasible == full.feasible
     assert report.violations == full.violations
+
+
+def _assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=1e-9,
+                               atol=1e-9 * max(1.0, float(np.abs(want).max())))
+
+
+def _goodwill_loan_instance(rng, T):
+    return dataclasses.replace(_random_instance(rng, T, with_loan=True),
+                               beta=float(rng.uniform(0.1, 1.0)))
+
+
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_affine_model_reproduces_evaluation(T, seed):
+    """Over the whole horizon in (y, v), the affine capital and demand
+    models give evaluate_plan's capital, inventory and effective demand."""
+    rng = np.random.default_rng(seed)
+    inst = _goodwill_loan_instance(rng, T)
+    traj = evaluate_plan(inst, _random_plan(rng, inst))
+    z = np.concatenate((traj.plan.y, traj.plan.v))
+    Y, V = np.eye(T, 2 * T), np.eye(T, 2 * T, T)
+    cap, cap0, _, _ = capital_affine(inst, 1, Y, V, traj.x, inst.B0)
+    _assert_close(cap @ z + cap0, traj.B[1:])
+    _assert_close(np.cumsum(Y - V, axis=0) @ z, traj.I[1:])
+    # the plan's own survival pattern: a period dies when the shrink is < 0
+    w_prev = np.append(0.0, traj.w[:-1])
+    delta = (inst.d - inst.beta * w_prev >= 0).astype(int)
+    ed, ed0, _, _ = demand_affine(inst, 1, T, 0.0, delta)
+    _assert_close(ed @ traj.plan.v + ed0, traj.Ed)
+
+
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_affine_capital_reproduces_a_round_window(T, seed):
+    """In a round's layout, where each cycle's launch makes all the units
+    its periods realize, the affine capital over the window in v gives
+    evaluate_plan's capital."""
+    rng = np.random.default_rng(seed)
+    inst = _goodwill_loan_instance(rng, T)
+    m, n = sorted(int(t) for t in rng.integers(1, T + 1, size=2))
+    L = n - m + 1
+    starts = sorted({0} | set(rng.integers(0, L, size=2).tolist()))
+    v = rng.uniform(0.1, 60.0, L)
+    Y = np.zeros((L, L))
+    for a, b in zip(starts, starts[1:] + [L]):
+        Y[a, a:b] = 1.0
+    x = np.zeros(L, dtype=int)
+    x[starts] = 1
+    # the window enters without stock: each earlier period makes its sales
+    v_all = _random_plan(rng, inst).v.copy()
+    y_all = v_all.copy()
+    y_all[m - 1 : n], v_all[m - 1 : n] = Y @ v, v
+    traj = evaluate_plan(inst, Plan(y_all, v_all))
+    assert list(traj.x[m - 1 : n]) == list(x)
+    cap, cap0, _, _ = capital_affine(inst, m, Y, np.eye(L), x, traj.B[m - 1])
+    _assert_close(cap @ v + cap0, traj.B[m : n + 1])
 
 
 class TestViolations:

@@ -8,9 +8,10 @@ import pytest
 from lotflow import (Instance, OracleConfig, OracleGuardError,
                      check_feasibility, evaluate_plan, gen_random_small,
                      gen_table1, solve_exact, solve_frh)
-from lotflow.oracle import _delta_patterns, deviation
+from lotflow.lp import LpStatus, lp_solve
+from lotflow.oracle import _combo_lp, _delta_patterns, deviation
 
-from helpers import enumerate_solve, milp_solve
+from helpers import enumerate_solve, equality_lp, milp_solve
 from test_acceptance import CAPITAL_POINTS
 
 
@@ -172,6 +173,38 @@ class TestBranchAndBound:
         inst = next(inst for inst in BB_DRAWS if inst.T == 8)
         sol = solve_exact(inst)
         assert sol.lp_count < 2 ** inst.T * len(_delta_patterns(inst))
+
+
+class TestNodeLp:
+    """The oracle's node LP in (y, v) and the equality-form LP over
+    (y, v, w, Ed, I, B) of the reference agree node for node."""
+
+    @pytest.mark.parametrize("index", range(len(BB_DRAWS)), ids=BB_IDS)
+    def test_matches_the_equality_form(self, index):
+        inst = BB_DRAWS[index]
+        T = inst.T
+        rng = np.random.default_rng(index)
+        for delta in _delta_patterns(inst):
+            # the root, the all-off and all-on leaves, and random nodes
+            nodes = [(0, np.zeros(T, dtype=int)), (T, np.zeros(T, dtype=int)),
+                     (T, np.ones(T, dtype=int))]
+            nodes += [(int(rng.integers(1, T + 1)), rng.integers(0, 2, T))
+                      for _ in range(5)]
+            for k, x in nodes:
+                ours = lp_solve(_combo_lp(inst, x, delta, k))
+                ref = lp_solve(equality_lp(inst, x, delta, k))
+                assert ours.status is ref.status, (k, x, delta)
+                if ref.status is LpStatus.OPTIMAL:
+                    assert ours.objective_value == pytest.approx(
+                        ref.objective_value, rel=1e-9, abs=1e-9), (k, x, delta)
+
+    def test_has_only_le_rows_over_two_columns_per_period(self):
+        inst = next(inst for inst in BB_DRAWS if inst.T == 8)
+        for delta in _delta_patterns(inst):
+            prob = _combo_lp(inst, np.zeros(8, dtype=int), delta, 0)
+            assert prob.n_vars == 16
+            assert prob.rows.shape == (5 * 8 - 1, 16)
+            assert (prob.sense == 1).all()
 
 
 class TestMilpReference:

@@ -32,6 +32,9 @@ EXIT_NUMERICAL = 4
 
 CAPITAL_SWEEP_BC = (50, 150, 200, 250, 300, 350, 400)
 INTEREST_SWEEP_R = (0.01, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
+# the factors of the Table-5 design, each at a low and a high level
+TABLE5_LEVELS = ("demand_fluc", "cost_fluc", "holding_fluc", "price_fluc",
+                 "capital_level", "rate_level", "beta_level")
 
 _DEV_TOL = 1e-6
 
@@ -47,7 +50,9 @@ class RunReport:
                   "deviation", "frh_time", "lp_count", "degenerate", "error")
 
     def add(self, **kwargs):
-        self.rows.append({k: kwargs.get(k) for k in self.ROW_FIELDS})
+        """Keep the row fields of ``kwargs``; a table5 row also keeps its levels."""
+        fields = self.ROW_FIELDS + (TABLE5_LEVELS if self.scheme == "table5" else ())
+        self.rows.append({k: kwargs.get(k) for k in fields})
 
     def aggregate(self, group_key) -> list:
         groups: dict = {}
@@ -72,12 +77,8 @@ class RunReport:
         if self.scheme == "table2":
             return self.aggregate(lambda r: f"T={r['T']}")
         # table5: pivot per parameter level
-        out = []
-        for param in ("demand_fluc", "cost_fluc", "holding_fluc", "price_fluc",
-                      "capital_level", "rate_level", "beta_level"):
-            for agg in self.aggregate(lambda r, p=param: f"{p}={r[p]}"):
-                out.append(agg)
-        return out
+        return [agg for param in TABLE5_LEVELS
+                for agg in self.aggregate(lambda r, p=param: f"{p}={r[p]}")]
 
     def write(self, out_dir: Path):
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -180,15 +181,8 @@ def cmd_bench(args) -> int:
         configs = configs[: args.max_cases]
     report = RunReport(scheme=args.scheme)
     for idx, cfg in enumerate(configs):
-        row = _bench_one(idx, gen(cfg), dict(cfg.__dict__), args.oracle,
-                         args.oracle_max_T)
-        extra = {k: row[k] for k in RunReport.ROW_FIELDS}
-        if args.scheme == "table5":
-            extra.update({k: row[k] for k in
-                          ("demand_fluc", "cost_fluc", "holding_fluc",
-                           "price_fluc", "capital_level", "rate_level",
-                           "beta_level")})
-        report.rows.append(extra)
+        report.add(**_bench_one(idx, gen(cfg), dict(cfg.__dict__), args.oracle,
+                                args.oracle_max_T))
     report.write(Path(args.out))
     print(f"benchmarked {len(report.rows)} instances -> {args.out}")
     return EXIT_OK

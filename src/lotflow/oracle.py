@@ -99,7 +99,7 @@ def _combo_lp(inst: Instance, x: np.ndarray, delta: np.ndarray,
     hi = np.full(2 * T, math.inf)
     hi[:T][(t < k) & (x == 0)] = 0.0
     return LpProblem(objective=cap[-1], rows=rows,
-                     sense=np.ones(len(rhs), dtype=int), rhs=rhs, hi=hi,
+                     rhs=rhs, hi=hi,
                      objective_offset=cap0[-1] - inst.B0)
 
 

@@ -120,7 +120,7 @@ def _round_lp(inst: Instance, spec: RoundSpec, model: str,
 
     rhs = np.concatenate([b for _, b in blocks])
     return LpProblem(objective=cap[-1], rows=np.vstack([r for r, _ in blocks]),
-                     sense=np.ones(len(rhs), dtype=int), rhs=rhs, hi=hi,
+                     rhs=rhs, hi=hi,
                      objective_offset=cap0[-1] - spec.B_in)
 
 

@@ -8,8 +8,8 @@ optimum to check the simplex implementation against.
 setup pattern and survival pattern, 2^T x |patterns| in all, as a reference
 for the branch and bound in ``lotflow.oracle``. Its LP, ``equality_lp``,
 states the model in its own 6T columns (y, v, w, Ed, I, B) with equality
-rows for the recursions, so it shares no row with the oracle's node LP in
-(y, v).
+rows for the recursions, each stated as a pair of ``<=`` rows, so it shares
+no row with the oracle's node LP in (y, v).
 
 ``milp_solve`` states the whole lot-sizing model as one mixed-integer
 program and hands it to ``scipy.optimize.milp`` (HiGHS), giving an optimum
@@ -34,46 +34,24 @@ VERTEX_FEAS_TOL = 1e-7
 
 
 def _halfspaces(prob: LpProblem):
-    """All constraints as A x <= b rows plus a list of equality row ids."""
+    """All constraints as A x <= b rows: the problem's rows, then the boxes."""
     n = prob.n_vars
-    A, b, eq_ids = [], [], []
-    for coeffs, sense, rhs in zip(prob.rows, prob.sense, prob.rhs):
-        if sense == 1:
-            A.append(coeffs)
-            b.append(rhs)
-        elif sense == -1:
-            A.append(-coeffs)
-            b.append(-rhs)
-        else:  # equality: both directions, remember to force tightness
-            eq_ids.append(len(A))
-            A.append(coeffs)
-            b.append(rhs)
-            A.append(-coeffs)
-            b.append(-rhs)
-    for j in range(n):
-        lo, hi = prob.lo[j], prob.hi[j]
-        e = np.zeros(n)
-        e[j] = 1.0
-        if lo > -math.inf:
-            A.append(-e.copy())
-            b.append(-lo)
-        if hi < math.inf:
-            A.append(e.copy())
-            b.append(hi)
-    return np.array(A), np.array(b), eq_ids
+    capped = np.flatnonzero(prob.hi < math.inf)
+    A = np.vstack([prob.rows, -np.eye(n), np.eye(n)[capped]])
+    b = np.concatenate([prob.rhs, np.zeros(n), prob.hi[capped]])
+    return A, b
 
 
 def vertex_solve(prob: LpProblem):
     """Return (best objective incl. offset, argmax) or (None, None).
 
-    Only meaningful for LPs whose feasible region is bounded (all test
-    factories guarantee that); unbounded problems are out of scope here.
+    The optimum must be finite (all test factories guarantee that); an
+    unbounded problem is out of scope here.
     """
-    A, b, eq_ids = _halfspaces(prob)
+    A, b = _halfspaces(prob)
     n = prob.n_vars
     m = len(A)
     c = np.asarray(prob.objective, dtype=float)
-    del eq_ids  # equalities appear as opposed <= pairs, tight at any feasible x
     best, arg = None, None
     for subset in combinations(range(m), n):
         sub_A = A[list(subset)]
@@ -110,7 +88,7 @@ def equality_lp(inst: Instance, x: np.ndarray, delta: np.ndarray,
     # refer to the columns of periods 1..T-1 (``prev``)
     A = np.zeros((T, 7, n))
     rhs = np.zeros((T, 7))
-    sense = np.tile([1, 0, 0, 1, 0, 0, 1], (T, 1))
+    equality = np.tile([False, True, True, False, True, True, False], (T, 1))
     later, prev = t[1:], t[:-1]
     b_prev_rhs = np.where(t == 0, inst.B0, 0.0) - inst.s * x
     # 0: capital sufficiency
@@ -150,8 +128,12 @@ def equality_lp(inst: Instance, x: np.ndarray, delta: np.ndarray,
     # no lost sales precede period 1, so a surviving period 1 has no row 6
     keep = np.ones((T, 7), dtype=bool)
     keep[0, 6] = not alive[0]
-    return LpProblem(objective=obj, rows=A[keep], sense=sense[keep],
-                     rhs=rhs[keep], hi=hi, objective_offset=-inst.B0)
+    # each equality row a x = b is the <= pair a x <= b, -a x <= -b
+    eq = equality[keep]
+    rows, rhs = A[keep], rhs[keep]
+    return LpProblem(objective=obj, rows=np.vstack([rows, -rows[eq]]),
+                     rhs=np.concatenate([rhs, -rhs[eq]]), hi=hi,
+                     objective_offset=-inst.B0)
 
 
 def enumerate_solve(inst: Instance, cfg: OracleConfig | None = None) -> Solution:
@@ -274,39 +256,36 @@ def random_bounded_lp(rng: np.random.Generator) -> LpProblem:
     for i in range(m):
         rows[i] = rng.uniform(-2.0, 2.0, n)
         rhs[i] = rows[i] @ x0 + rng.uniform(0.0, 4.0)
-    return LpProblem(objective=obj, rows=rows, sense=np.ones(m, dtype=int),
-                     rhs=rhs, hi=ub, objective_offset=offset)
+    return LpProblem(objective=obj, rows=rows, rhs=rhs, hi=ub,
+                     objective_offset=offset)
 
 
-def random_general_lp(rng: np.random.Generator) -> LpProblem:
-    """Feasible, bounded LP over every bound kind the simplex standardizes.
+def random_one_form_lp(rng: np.random.Generator) -> LpProblem:
+    """Feasible LP with a finite optimum over every case of the one form.
 
-    Each variable gets either a box with a nonzero lower bound or only an
-    upper bound, ``(-inf, hi)``, with a positive objective coefficient so the
-    optimum stays finite. Rows of all three relations pass through a feasible
-    anchor point.
+    Each variable gets ``hi = 0`` (a fixed-off column), a finite ``hi`` or
+    ``hi = inf``; an uncapped variable has a negative objective coefficient,
+    so the optimum stays finite. The first row is a covering row with a
+    negative rhs, which phase 1 must satisfy; the other rows pass through a
+    feasible anchor point.
     """
     n = int(rng.integers(2, 5))
     obj = rng.uniform(-3.0, 3.0, n)
     offset = float(rng.uniform(-5.0, 5.0))
-    lo, hi, x0 = np.empty(n), np.empty(n), np.empty(n)
-    for j in range(n):
-        if rng.random() < 0.5:
-            lo[j] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 5.0)
-            hi[j] = lo[j] + rng.uniform(1.0, 10.0)
-            x0[j] = rng.uniform(lo[j], hi[j])
-        else:
-            lo[j], hi[j] = -math.inf, rng.uniform(-5.0, 5.0)
-            obj[j] = abs(obj[j]) + 0.1
-            x0[j] = hi[j] - rng.uniform(0.0, 5.0)
-    # one = row, one >= row, then up to two rows of any relation
-    sense = np.concatenate([[0, -1], rng.choice([1, 0, -1], int(rng.integers(0, 3)))])
-    rows, rhs = np.empty((len(sense), n)), np.empty(len(sense))
-    for i, code in enumerate(sense):
-        rows[i] = rng.uniform(-2.0, 2.0, n)
-        rhs[i] = rows[i] @ x0 + code * rng.uniform(0.0, 4.0)
-    return LpProblem(objective=obj, rows=rows, sense=sense, rhs=rhs, lo=lo,
-                     hi=hi, objective_offset=offset)
+    kind = rng.permutation(np.resize([0, 1, 2], n))   # 0 fixed, 1 finite, 2 inf
+    hi = np.where(kind == 0, 0.0, np.where(kind == 1, rng.uniform(1.0, 10.0, n),
+                                           math.inf))
+    obj[kind == 2] = -np.abs(obj[kind == 2]) - 0.1
+    x0 = np.where(kind == 1, rng.uniform(0.5, 1.0, n) * hi,
+                  np.where(kind == 2, rng.uniform(1.0, 5.0, n), 0.0))
+    # cover @ x0 >= 0.25, so the covering row's rhs stays below -0.05
+    cover = np.where(kind == 0, 0.0, rng.uniform(0.5, 2.0, n))
+    m = int(rng.integers(0, 3))
+    rows = np.vstack([-cover, rng.uniform(-2.0, 2.0, (m, n))])
+    slack = np.concatenate([rng.uniform(0.0, 0.2, 1), rng.uniform(0.0, 3.0, m)])
+    rhs = rows @ x0 + slack
+    return LpProblem(objective=obj, rows=rows, rhs=rhs, hi=hi,
+                     objective_offset=offset)
 
 
 def random_infeasible_lp(rng: np.random.Generator) -> LpProblem:
@@ -317,8 +296,8 @@ def random_infeasible_lp(rng: np.random.Generator) -> LpProblem:
     e[int(rng.integers(0, n))] = 1.0
     rhs = -1.0 - rng.uniform(0.0, 3.0)
     return LpProblem(objective=prob.objective, rows=np.vstack([prob.rows, e]),
-                     sense=np.append(prob.sense, 1), rhs=np.append(prob.rhs, rhs),
-                     hi=prob.hi, objective_offset=prob.objective_offset)
+                     rhs=np.append(prob.rhs, rhs), hi=prob.hi,
+                     objective_offset=prob.objective_offset)
 
 
 def random_unbounded_lp(rng: np.random.Generator) -> LpProblem:
@@ -332,4 +311,4 @@ def random_unbounded_lp(rng: np.random.Generator) -> LpProblem:
         rows[i] = rng.uniform(-2.0, 2.0, n)
         rows[i, 0] = -abs(rows[i, 0])  # the ray x1 -> inf never tightens rows
         rhs[i] = rng.uniform(0.0, 5.0)  # origin stays feasible
-    return LpProblem(objective=obj, rows=rows, sense=np.ones(m, dtype=int), rhs=rhs)
+    return LpProblem(objective=obj, rows=rows, rhs=rhs)

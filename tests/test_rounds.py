@@ -155,12 +155,19 @@ class TestRoundLpLayout:
         ])
         np.testing.assert_array_equal(prob.rhs,
                                       [900, 790, 900, 565, 565, 30, 25, 7.5])
-        np.testing.assert_array_equal(prob.sense, [1] * 8)
         # only Ed1 is a constant, so only v1 gets a finite upper bound
         np.testing.assert_array_equal(prob.hi, [30, np.inf, np.inf])
-        np.testing.assert_array_equal(prob.lo, [0, 0, 0])
         np.testing.assert_array_equal(prob.objective, [16, 16, 15])
         assert prob.objective_offset == 565 - 1000
+
+    def test_psub1_simplex_path(self):
+        # pinned from a solve: a change to the tableau or the pivot order
+        # shows here even where the optimum stays the same
+        sol = lp_solve(build_psub1(self.inst, self.spec))
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.iterations == 3
+        assert sol.x.tolist() == [30.0, 40.0, 20.0]
+        assert sol.objective_value == 985.0
 
     def test_psub3_dead_period(self):
         prob = build_psub3(self.inst, self.spec, [1, 1, 0])

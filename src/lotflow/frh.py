@@ -3,7 +3,7 @@
 The planning horizon is swept forward; for each period ``n`` the best
 attainable end-of-period capital is the maximum over extending the committed
 plan with a new production round ending at ``n`` (or with an idle period).
-With goodwill loss, three per-period plan adjustments try alternative cycle
+With goodwill loss, two per-period plan adjustments try alternative cycle
 layouts for the last round, and a final backward pass shifts production into
 earlier, cheaper cycles when spare capital allows it.
 """
@@ -40,19 +40,6 @@ class Solution:
             "adjustments": [[kind, list(periods)] for kind, periods in self.adjustments],
             "degenerate": self.degenerate,
         }
-
-
-@dataclass
-class RecursionState:
-    """Forward-recursion bookkeeping exposed to callers and tests."""
-
-    B_star: np.ndarray          # best end capital per period, slot 0 = B0
-    best_plan: Plan             # committed plan through the last processed period
-    BB_table: np.ndarray        # round values indexed [m-1, n-1]
-    lp_count: int = 0
-    adjustments: list = field(default_factory=list)
-    degenerate: bool = False
-    trajectory: Trajectory | None = None
 
 
 class _Prefix:
@@ -109,12 +96,10 @@ def _splice(base: _Prefix, round_sol: RoundSolution, spec: RoundSpec):
 class _Frh:
     def __init__(self, inst: Instance):
         self.inst = inst
-        T = inst.T
-        idle = Plan.null(T)
+        idle = Plan.null(inst.T)
         self.prefixes: list[_Prefix] = [
             _Prefix(idle.y, idle.v, evaluate_plan(inst, idle), None, checked=0)
         ]
-        self.bb_table = np.full((T, T), np.nan)
         self.lp_count = 0
         self.adjustments: list = []
         self.degenerate = False
@@ -123,19 +108,19 @@ class _Frh:
                          w_cap: float | None = None):
         """Solve the round and splice it onto ``base``.
 
-        Returns ``(BB or nan, prefix or None)``; the prefix is None when the
-        round is infeasible or the spliced plan fails its check through n.
+        Returns the new prefix, or None when the round is infeasible or the
+        spliced plan fails its check through n.
         """
         sol = solve_round(self.inst, spec, w_cap=w_cap)
         self.lp_count += sol.lp_solves
         if sol.status != FEASIBLE:
-            return math.nan, None
+            return None
         y, v = _splice(base, sol, spec)
         traj = evaluate_plan(self.inst, Plan(y, v), base.traj, spec.m)
         if not check_feasibility(self.inst, traj, up_to=n,
                                  start=base.check_start(spec.m)).feasible:
-            return sol.BB, None
-        return sol.BB, _Prefix(y, v, traj, (spec.cycle_starts, n), checked=n)
+            return None
+        return _Prefix(y, v, traj, (spec.cycle_starts, n), checked=n)
 
     def step(self, n: int):
         """Commit the best plan through period n (recursion Steps 1-2)."""
@@ -153,8 +138,7 @@ class _Frh:
             base = self.prefixes[m - 1]
             spec = round_spec(inst, m, n, prev_cycle=base.last_cycle(),
                               entry=partial(_entry_state, base.traj))
-            bb, pref = self._round_candidate(base, spec, n)
-            self.bb_table[m - 1, n - 1] = bb
+            pref = self._round_candidate(base, spec, n)
             if pref is not None:
                 candidates.append((float(pref.traj.B[n]), float(m), pref))
 
@@ -173,7 +157,7 @@ class _Frh:
         self.prefixes.append(chosen[2])
 
     def adjust(self, n: int):
-        """Try the three cycle-layout adjustments on the round ending at n."""
+        """Try the two cycle-layout adjustments on the round ending at n."""
         inst = self.inst
         if inst.beta == 0:
             return
@@ -208,20 +192,6 @@ class _Frh:
                                        B_in=b_in, w_in=w_in))
             families.append(("Adj2", specs))
 
-        # (c) delay the first launch when the round starts the horizon
-        if m == 1:
-            specs = []
-            idle = self.prefixes[0].traj  # all-idle reference trajectory
-            next_start = cycles[1] if len(cycles) >= 2 else n + 1
-            for u in range(2, next_start):
-                if idle.B[u - 1] < 0:
-                    continue
-                b_in, w_in = _entry_state(idle, u)
-                specs.append(RoundSpec(m=u, n=n,
-                                       cycle_starts=(u,) + cycles[1:],
-                                       B_in=b_in, w_in=w_in))
-            families.append(("Adj3", specs))
-
         for kind, specs in families:
             # splicing onto the current prefix keeps its plan before the
             # round's start and replaces everything from there on
@@ -229,7 +199,7 @@ class _Frh:
             best_key = (float(cur.traj.B[n]), -float(cur.traj.w[n - 1]))
             best = None
             for spec in specs:
-                _, pref = self._round_candidate(cur, spec, n, w_cap=w_cap)
+                pref = self._round_candidate(cur, spec, n, w_cap=w_cap)
                 if pref is None:
                     continue
                 key = (float(pref.traj.B[n]), -float(pref.traj.w[n - 1]))
@@ -242,26 +212,21 @@ class _Frh:
                 self.prefixes[n] = best[0]
                 self.adjustments.append((kind, best[1]))
 
-    def state(self, through: int) -> RecursionState:
-        final = self.prefixes[through]
-        B_star = np.array([float(p.traj.B[i]) for i, p in enumerate(self.prefixes)])
-        return RecursionState(
-            B_star=B_star,
-            best_plan=Plan(final.y.copy(), final.v.copy()),
-            BB_table=self.bb_table,
-            lp_count=self.lp_count,
-            adjustments=list(self.adjustments),
-            degenerate=self.degenerate,
-            trajectory=final.traj,
-        )
+    def solution(self) -> Solution:
+        """The committed plan through the last processed period."""
+        traj = self.prefixes[-1].traj
+        return Solution(trajectory=traj, objective=traj.objective,
+                        lp_count=self.lp_count,
+                        adjustments=list(self.adjustments),
+                        degenerate=self.degenerate)
 
 
-def recurse(inst: Instance) -> RecursionState:
+def recurse(inst: Instance) -> Solution:
     """Plain forward recursion (no per-period adjustments, no post-pass)."""
     runner = _Frh(inst)
     for n in range(1, inst.T + 1):
         runner.step(n)
-    return runner.state(inst.T)
+    return runner.solution()
 
 
 def corollary2_postpass(inst: Instance, sol: Solution) -> Solution:
@@ -316,10 +281,4 @@ def solve_frh(inst: Instance) -> Solution:
     for n in range(1, inst.T + 1):
         runner.step(n)
         runner.adjust(n)
-    state = runner.state(inst.T)
-    sol = Solution(trajectory=state.trajectory,
-                   objective=state.trajectory.objective,
-                   lp_count=state.lp_count,
-                   adjustments=state.adjustments,
-                   degenerate=state.degenerate)
-    return corollary2_postpass(inst, sol)
+    return corollary2_postpass(inst, runner.solution())

@@ -179,9 +179,14 @@ def test_criterion_7_lp_budget():
     for inst, sol, is_frh, beta in _RUNS:
         if not is_frh:
             continue
+        # Without goodwill loss, step(n) solves one sub1 LP per round m..n.
+        # With it, a round takes at most 3 LPs, so step(n) solves at most 3n;
+        # Adj1 tries at most n - m rounds and Adj2 at most m - 1, so period n
+        # costs at most 3n + 3(n - 1) = 6n - 3. The worst measured ratio to
+        # T(T+1)/2 was 2.93, on a T=24 benchmark case with beta = 0.5.
         budget = inst.T * (inst.T + 1) // 2
         if beta > 0:
-            budget *= 9
+            budget *= 6
         if sol.lp_count > budget:
             violations.append((inst.T, beta, sol.lp_count, budget))
     ok = not violations

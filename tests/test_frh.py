@@ -6,34 +6,30 @@ import pytest
 from lotflow import (Instance, Plan, check_feasibility, evaluate_plan,
                      gen_random_small, gen_table1, recurse, solve_exact,
                      solve_frh)
-from lotflow.frh import Solution, corollary2_postpass
+from lotflow.frh import Solution, _Frh, corollary2_postpass
 
 
 class TestRecursion:
     def test_single_period(self):
         inst = Instance(T=1, d=[30], p=[21], c=[5], h=[1], s=[100], Bc=250.0)
-        state = recurse(inst)
-        assert state.B_star[1] == pytest.approx(630.0)
-        assert state.trajectory.objective == pytest.approx(380.0)
+        sol = recurse(inst)
+        assert sol.trajectory.B[1] == pytest.approx(630.0)
+        assert sol.objective == pytest.approx(380.0)
 
     def test_unprofitable_period_stays_idle(self):
         inst = Instance(T=1, d=[30], p=[2], c=[5], h=[1], s=[100], Bc=250.0)
-        state = recurse(inst)
-        assert state.trajectory.objective == 0.0
-        assert not state.trajectory.x.any()
+        sol = recurse(inst)
+        assert sol.objective == 0.0
+        assert not sol.trajectory.x.any()
 
     def test_b_star_is_monotone(self):
         # idling is always available, so best capital never decreases
         inst = gen_table1(Bc=200)
-        state = recurse(inst)
-        assert np.all(np.diff(state.B_star) >= -1e-9)
-
-    def test_bb_table_lower_triangle_empty(self):
-        inst = gen_table1(Bc=200)
-        state = recurse(inst)
-        for m in range(inst.T):
-            for n in range(m):
-                assert np.isnan(state.BB_table[m, n])
+        runner = _Frh(inst)
+        for n in range(1, inst.T + 1):
+            runner.step(n)
+        best = [float(pref.traj.B[n]) for n, pref in enumerate(runner.prefixes)]
+        assert np.all(np.diff(best) >= -1e-9)
 
     def test_committed_plans_always_feasible(self):
         for seed in range(40, 50):
@@ -48,7 +44,7 @@ class TestAdjustments:
             inst = gen_random_small(seed=seed, T=5, beta=0.5)
             plain = recurse(inst)
             full = solve_frh(inst)
-            assert full.objective >= plain.trajectory.objective - 1e-9
+            assert full.objective >= plain.objective - 1e-9
 
     def test_zero_beta_never_adjusts(self):
         inst = gen_random_small(seed=3, T=6, beta=0.0, constant_c=True)
@@ -56,13 +52,36 @@ class TestAdjustments:
         assert all(kind == "Cor2" for kind, _ in sol.adjustments)
 
     def test_first_cycle_split_recovers_capital_bound_plan(self):
-        # one launch cannot afford both periods, two launches can
+        # one launch cannot afford both periods, two launches can; the plain
+        # recursion already commits a round with cycles starting in periods
+        # 1 and 2, so no adjustment fires
         inst = Instance(T=2, d=[100, 100], p=[20, 20], c=[10, 10],
                         h=[1, 1], s=[100, 100], Bc=1200.0, beta=0.5)
         sol = solve_frh(inst)
         exact = solve_exact(inst)
         assert sol.objective == pytest.approx(exact.objective, rel=1e-9)
         assert list(sol.trajectory.x) == [1, 1]
+        assert sol.adjustments == []
+
+    @pytest.mark.parametrize("seed, adjustments, plain, full", [
+        (5041, [("Adj1", (1, 2, 3))], 553.2104, 595.1424),
+        (5131, [("Adj2", (1, 2))], 1132.3527, 1757.2020),
+    ])
+    def test_each_family_improves_a_plan(self, seed, adjustments, plain, full):
+        # Adj1 splits the first cycle of the round 1..3; Adj2 inserts a
+        # period-1 cycle before the round that starts in period 2
+        inst = gen_random_small(seed=seed, T=3, beta=0.5)
+        sol = solve_frh(inst)
+        assert sol.adjustments == adjustments
+        assert sol.objective == pytest.approx(full, abs=1e-4)
+        assert recurse(inst).objective == pytest.approx(plain, abs=1e-4)
+
+    def test_desk_instance_path(self):
+        # pins the round cascade and both Adj1 acceptances on Table 1
+        sol = solve_frh(gen_table1(Bc=200))
+        assert sol.objective == 1891.3076923076924
+        assert sol.lp_count == 83
+        assert sol.adjustments == [("Adj1", (4, 8, 9)), ("Adj1", (9, 10, 11))]
 
 
 class TestCorollary2Postpass:
@@ -155,7 +174,9 @@ class TestLpBudget:
             beta = 0.0 if seed % 2 == 0 else 0.5
             inst = gen_random_small(seed=700 + seed, T=T, beta=beta)
             sol = solve_frh(inst)
-            cap = T * (T + 1) // 2 if beta == 0 else 9 * T * (T + 1) // 2
+            # a round solves at most 3 LPs (1 without goodwill loss); see
+            # criterion 7 for the 6n - 3 bound per period with goodwill loss
+            cap = T * (T + 1) // 2 if beta == 0 else 6 * T * (T + 1) // 2
             assert sol.lp_count <= cap
 
     def test_diagnostics_roundtrip(self):

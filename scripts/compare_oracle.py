@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from lotflow import OracleConfig, deviation, gen_random_small
+from lotflow import deviation, gen_random_small
 
 
 def main() -> int:
@@ -35,7 +35,7 @@ def main() -> int:
         inst = gen_random_small(seed=args.seed + i, T=T, beta=beta,
                                 constant_c=(i % 2 == 0),
                                 with_loan=(i % 4 == 0))
-        devs[beta].append(deviation(inst, OracleConfig(max_T=args.max_T)))
+        devs[beta].append(deviation(inst, max_T=args.max_T))
     elapsed = time.perf_counter() - start
 
     print(f"{args.cases} instances in {elapsed:.1f}s")

@@ -23,7 +23,7 @@ from .generators import (Table2Config, Table5Config, gen_random_small,
                          grid_table5, instance_filename)
 from .lp import LpError, LpNumericalError
 from .model import Instance, InputError, trajectory_to_csv
-from .oracle import OracleConfig, OracleGuardError, relative_gap, solve_exact
+from .oracle import MAX_T, OracleGuardError, relative_gap, solve_exact
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -62,14 +62,16 @@ class RunReport:
         for key in sorted(groups):
             rows = groups[key]
             devs = [r["deviation"] for r in rows if r["deviation"] is not None]
+            times = [r["frh_time"] for r in rows if r["error"] is None]
             out.append({
                 "group": key,
                 "cases": len(rows),
                 "degenerate": sum(1 for r in rows if r["degenerate"]),
+                "errors": sum(1 for r in rows if r["error"] is not None),
                 "non_optimal": sum(1 for dv in devs if dv > _DEV_TOL),
                 "mean_deviation": float(np.mean(devs)) if devs else None,
                 "max_deviation": float(np.max(devs)) if devs else None,
-                "mean_frh_time": float(np.mean([r["frh_time"] for r in rows])),
+                "mean_frh_time": float(np.mean(times)) if times else None,
             })
         return out
 
@@ -92,8 +94,8 @@ class RunReport:
             json.dumps(summary, indent=2), encoding="utf-8")
         with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=[
-                "group", "cases", "degenerate", "non_optimal", "mean_deviation",
-                "max_deviation", "mean_frh_time"])
+                "group", "cases", "degenerate", "errors", "non_optimal",
+                "mean_deviation", "max_deviation", "mean_frh_time"])
             writer.writeheader()
             writer.writerows(summary["pivot"])
 
@@ -112,7 +114,7 @@ def cmd_solve(args) -> int:
     if args.engine == "frh":
         sol = solve_frh(inst)
     else:
-        sol = solve_exact(inst, OracleConfig(max_T=args.max_T))
+        sol = solve_exact(inst, max_T=args.max_T)
     _solution_files(sol, Path(args.out), path.stem + f"_{args.engine}")
     print(f"objective={sol.objective:.6f} lp_count={sol.lp_count}")
     return EXIT_OK
@@ -156,7 +158,7 @@ def _bench_one(idx: int, inst: Instance, cfg_fields: dict, run_oracle: bool,
         row["lp_count"] = sol.lp_count
         row["degenerate"] = sol.degenerate
         if run_oracle and inst.T <= oracle_max_t:
-            exact = solve_exact(inst, OracleConfig(max_T=oracle_max_t))
+            exact = solve_exact(inst, max_T=oracle_max_t)
             row["oracle_objective"] = exact.objective
             row["deviation"] = relative_gap(exact.objective, sol.objective)
     except (LpNumericalError, LpError, InputError, OracleGuardError) as exc:
@@ -227,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--engine", choices=("frh", "oracle"), required=True)
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--max-T", dest="max_T", type=int, default=8)
+    sp.add_argument("--max-T", dest="max_T", type=int, default=MAX_T)
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("sweep", help="run the desk-instance parameter sweeps")
@@ -239,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scheme", choices=("table2", "table5"), required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--oracle", action="store_true")
-    sp.add_argument("--oracle-max-T", dest="oracle_max_T", type=int, default=8)
+    sp.add_argument("--oracle-max-T", dest="oracle_max_T", type=int,
+                    default=MAX_T)
     sp.add_argument("--max-cases", dest="max_cases", type=int, default=None)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_bench)

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .model import (Instance, Plan, Trajectory, TOL_ZERO, TOL_FEAS,
                     evaluate_plan, check_feasibility)
-from .rounds import RoundSpec, RoundSolution, FEASIBLE, round_spec, solve_round
+from .rounds import RoundSpec, RoundSolution, FEASIBLE, solve_round
 
 _TIE_TOL = 1e-9
 
@@ -53,12 +52,9 @@ class _Prefix:
     several periods may share one prefix.
     """
 
-    __slots__ = ("y", "v", "traj", "last_round", "checked")
+    __slots__ = ("traj", "last_round", "checked")
 
-    def __init__(self, y: np.ndarray, v: np.ndarray, traj: Trajectory,
-                 last_round, checked: int):
-        self.y = y
-        self.v = v
+    def __init__(self, traj: Trajectory, last_round, checked: int):
         self.traj = traj
         self.last_round = last_round  # (cycle_starts tuple, end period) or None
         self.checked = checked
@@ -73,18 +69,23 @@ class _Prefix:
         return self.last_round[0][-1]
 
 
-def _entry_state(traj: Trajectory, t0: int):
-    """(capital, lost sales) at the end of period t0 - 1 along ``traj``."""
+def _spec(traj: Trajectory, starts: tuple, n: int) -> RoundSpec:
+    """The round with cycles launched at ``starts`` through period n.
+
+    It enters with the capital and lost sales of period ``starts[0] - 1``
+    along ``traj``.
+    """
+    t0 = starts[0]
     # clamp away sub-tolerance float noise from the evaluated prefix
     b = max(0.0, float(traj.B[t0 - 1]))
     w = max(0.0, float(traj.w[t0 - 2])) if t0 >= 2 else 0.0
-    return b, w
+    return RoundSpec(n=n, cycle_starts=starts, B_in=b, w_in=w)
 
 
 def _splice(base: _Prefix, round_sol: RoundSolution, spec: RoundSpec):
     """The base plan before the round, the round, then nothing."""
-    y = base.y.copy()
-    v = base.v.copy()
+    y = base.traj.plan.y.copy()
+    v = base.traj.plan.v.copy()
     lo, hi = spec.m - 1, spec.n
     y[lo:hi] = round_sol.y
     v[lo:hi] = round_sol.v
@@ -96,9 +97,8 @@ def _splice(base: _Prefix, round_sol: RoundSolution, spec: RoundSpec):
 class _Frh:
     def __init__(self, inst: Instance):
         self.inst = inst
-        idle = Plan.null(inst.T)
         self.prefixes: list[_Prefix] = [
-            _Prefix(idle.y, idle.v, evaluate_plan(inst, idle), None, checked=0)
+            _Prefix(evaluate_plan(inst, Plan.null(inst.T)), None, checked=0)
         ]
         self.lp_count = 0
         self.adjustments: list = []
@@ -120,7 +120,7 @@ class _Frh:
         if not check_feasibility(self.inst, traj, up_to=n,
                                  start=base.check_start(spec.m)).feasible:
             return None
-        return _Prefix(y, v, traj, (spec.cycle_starts, n), checked=n)
+        return _Prefix(traj, (spec.cycle_starts, n), checked=n)
 
     def step(self, n: int):
         """Commit the best plan through period n (recursion Steps 1-2)."""
@@ -131,14 +131,16 @@ class _Frh:
         if check_feasibility(inst, prev.traj, up_to=n,
                              start=prev.check_start(n)).feasible:
             # idle period: demand in n is fully lost, capital carries over
-            idle = _Prefix(prev.y, prev.v, prev.traj, prev.last_round, checked=n)
+            idle = _Prefix(prev.traj, prev.last_round, checked=n)
             candidates.append((float(prev.traj.B[n]), math.inf, idle))
 
         for m in range(1, n + 1):
             base = self.prefixes[m - 1]
-            spec = round_spec(inst, m, n, prev_cycle=base.last_cycle(),
-                              entry=partial(_entry_state, base.traj))
-            pref = self._round_candidate(base, spec, n)
+            # with goodwill loss a round re-optimizes the base's last cycle
+            # together with the new one against the lost-sales carryover
+            last = base.last_cycle()
+            starts = (last, m) if inst.beta != 0 and last is not None else (m,)
+            pref = self._round_candidate(base, _spec(base.traj, starts, n), n)
             if pref is not None:
                 candidates.append((float(pref.traj.B[n]), float(m), pref))
 
@@ -175,22 +177,13 @@ class _Frh:
         # (a) split the round's first cycle with an extra launch
         first_end = cycles[1] - 1 if len(cycles) >= 2 else n
         if first_end > m:
-            specs = []
-            b_in, w_in = _entry_state(cur.traj, m)
-            for u in range(m + 1, first_end + 1):
-                specs.append(RoundSpec(m=m, n=n,
-                                       cycle_starts=(m, u) + cycles[1:],
-                                       B_in=b_in, w_in=w_in))
-            families.append(("Adj1", specs))
+            families.append(("Adj1", [_spec(cur.traj, (m, u) + cycles[1:], n)
+                                      for u in range(m + 1, first_end + 1)]))
 
         # (b) insert a cycle in the idle stretch before the round
         if m > 1 and not cur.traj.x[: m - 1].any():
-            specs = []
-            for u in range(1, m):
-                b_in, w_in = _entry_state(cur.traj, u)
-                specs.append(RoundSpec(m=u, n=n, cycle_starts=(u, m),
-                                       B_in=b_in, w_in=w_in))
-            families.append(("Adj2", specs))
+            families.append(("Adj2", [_spec(cur.traj, (u, m), n)
+                                      for u in range(1, m)]))
 
         for kind, specs in families:
             # splicing onto the current prefix keeps its plan before the

@@ -25,6 +25,8 @@ TABLE2_LOAN = ("none", "loan")
 TABLE2_BETA = (0.0, 0.10, 0.50)
 
 _LEVELS = ("low", "high")
+# seeds drawn for each factor combination of the Table-5 grid
+TABLE5_REPS = 10
 
 # stream ids keep each field's draws independent of the other fields
 _STREAMS = {"demand": 1, "price": 2, "cost": 3, "holding": 4}
@@ -191,13 +193,13 @@ def grid_table2(master_seed: int) -> list:
     return configs
 
 
-def grid_table5(master_seed: int, reps: int = 10) -> list:
-    """2^7 factor combinations x ``reps`` seeds (1280 configs by default),
+def grid_table5(master_seed: int) -> list:
+    """2^7 factor combinations x ``TABLE5_REPS`` seeds (1280 configs),
     ordered by factor combination then replicate."""
     configs = []
     combos = product(_LEVELS, repeat=7)
     for idx, levels in enumerate(combos):
-        for rep in range(reps):
+        for rep in range(TABLE5_REPS):
             configs.append(Table5Config(*levels,
                                         seed=_derive_seed(master_seed, idx, rep)))
     return configs

@@ -22,12 +22,11 @@ child. Plans come from leaves only, where every setup is fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .frh import Solution
+from .frh import Solution, solve_frh
 from .lp import LpProblem, LpStatus, LpNumericalError, lp_solve
 from .model import (Instance, Plan, capital_affine, check_feasibility,
                     demand_affine, evaluate_plan)
@@ -40,10 +39,8 @@ class OracleGuardError(ValueError):
 # a node's LP produces in a period when its y exceeds this
 _PRODUCES = 1e-9
 
-
-@dataclass(frozen=True)
-class OracleConfig:
-    max_T: int = 8
+# the default horizon guard: the search grows exponentially with T
+MAX_T = 8
 
 
 def _delta_patterns(inst: Instance):
@@ -116,15 +113,14 @@ def _setup_on(x: np.ndarray, t: int) -> np.ndarray:
     return on
 
 
-def solve_exact(inst: Instance, cfg: OracleConfig | None = None) -> Solution:
+def solve_exact(inst: Instance, max_T: int = MAX_T) -> Solution:
     """Branch and bound over the setups; return the best feasible plan.
 
     The search never consults the heuristic, so it can judge the heuristic.
     """
-    cfg = cfg or OracleConfig()
-    if inst.T > cfg.max_T:
+    if inst.T > max_T:
         raise OracleGuardError(
-            f"T={inst.T} exceeds the oracle horizon guard max_T={cfg.max_T}")
+            f"T={inst.T} exceeds the oracle horizon guard max_T={max_T}")
     T = inst.T
     best_val = -math.inf
     best_plan: Plan | None = None
@@ -183,12 +179,10 @@ def solve_exact(inst: Instance, cfg: OracleConfig | None = None) -> Solution:
     return Solution(trajectory=traj, objective=traj.objective, lp_count=lp_count)
 
 
-def deviation(inst: Instance, cfg: OracleConfig | None = None,
+def deviation(inst: Instance, max_T: int = MAX_T,
               frh_solution: Solution | None = None) -> float:
     """Relative shortfall of the heuristic against the exact optimum."""
-    from .frh import solve_frh
-
-    exact = solve_exact(inst, cfg)
+    exact = solve_exact(inst, max_T)
     heur = frh_solution if frh_solution is not None else solve_frh(inst)
     return relative_gap(exact.objective, heur.objective)
 

@@ -36,12 +36,11 @@ INFEASIBLE = "infeasible"
 class RoundSpec:
     """One production round: window, cycle launch periods and entry state.
 
-    Periods are 1-based; ``cycle_starts[0] == m``. ``B_in`` and ``w_in`` are
-    the end-of-period capital and lost sales of period ``m - 1`` along the
-    committed plan prefix.
+    Periods are 1-based; the round spans ``m = cycle_starts[0]`` through
+    ``n``. ``B_in`` and ``w_in`` are the end-of-period capital and lost
+    sales of period ``m - 1`` along the committed plan prefix.
     """
 
-    m: int
     n: int
     cycle_starts: tuple
     B_in: float
@@ -50,14 +49,15 @@ class RoundSpec:
     def __post_init__(self):
         starts = tuple(int(t) for t in self.cycle_starts)
         object.__setattr__(self, "cycle_starts", starts)
-        if not 1 <= self.m <= self.n:
-            raise ValueError("need 1 <= m <= n")
-        if not starts or starts[0] != self.m:
-            raise ValueError("first cycle must start at m")
-        if list(starts) != sorted(set(starts)) or starts[-1] > self.n:
-            raise ValueError("cycle starts must be increasing within [m, n]")
+        if (not starts or starts[0] < 1 or starts[-1] > self.n
+                or list(starts) != sorted(set(starts))):
+            raise ValueError("cycle starts must be increasing within [1, n]")
         if self.B_in < 0 or self.w_in < 0:
             raise ValueError("entry capital and lost sales must be nonnegative")
+
+    @property
+    def m(self) -> int:
+        return self.cycle_starts[0]
 
 
 @dataclass
@@ -66,8 +66,6 @@ class RoundSolution:
     BB: float
     v: np.ndarray
     y: np.ndarray
-    w_out: float
-    B_out: float
     which_model: str  # "sub1" | "sub2+sub3" | "none"
     lp_solves: int = 0
 
@@ -155,8 +153,8 @@ def infer_deltas(inst: Instance, spec: RoundSpec, v) -> np.ndarray:
     return deltas
 
 
-def _reconstruct(inst: Instance, spec: RoundSpec, v_raw: np.ndarray,
-                 bb: float, which: str, lp_solves: int) -> RoundSolution:
+def _reconstruct(spec: RoundSpec, v_raw: np.ndarray, bb: float, which: str,
+                 lp_solves: int) -> RoundSolution:
     L = spec.n - spec.m + 1
     v = np.maximum(np.asarray(v_raw, dtype=float), 0.0)
     y = np.zeros(L)
@@ -171,19 +169,14 @@ def _reconstruct(inst: Instance, spec: RoundSpec, v_raw: np.ndarray,
             for k in range(a, b - 1):
                 resid -= v[k]
             v[b - 1] = max(resid, 0.0)
-    w_prev = spec.w_in
-    for k in range(L):
-        t = spec.m - 1 + k
-        w_prev = effective_demand(inst.d[t], w_prev, inst.beta) - v[k]
-    return RoundSolution(status=FEASIBLE, BB=bb, v=v, y=y, w_out=float(w_prev),
-                         B_out=spec.B_in + bb, which_model=which, lp_solves=lp_solves)
+    return RoundSolution(status=FEASIBLE, BB=bb, v=v, y=y, which_model=which,
+                         lp_solves=lp_solves)
 
 
 def _infeasible(spec: RoundSpec, lp_solves: int) -> RoundSolution:
     L = spec.n - spec.m + 1
     return RoundSolution(status=INFEASIBLE, BB=-math.inf, v=np.zeros(L),
-                         y=np.zeros(L), w_out=spec.w_in, B_out=spec.B_in,
-                         which_model="none", lp_solves=lp_solves)
+                         y=np.zeros(L), which_model="none", lp_solves=lp_solves)
 
 
 def _solve(prob: LpProblem) -> LpSolution:
@@ -201,7 +194,7 @@ def solve_round(inst: Instance, spec: RoundSpec,
     count = 1
     sol1 = _solve(build_psub1(inst, spec, w_cap=w_cap))
     if sol1.status is LpStatus.OPTIMAL:
-        return _reconstruct(inst, spec, sol1.x, sol1.objective_value, "sub1", count)
+        return _reconstruct(spec, sol1.x, sol1.objective_value, "sub1", count)
     if inst.beta == 0:
         # the relaxation coincides with the first model, no point retrying
         return _infeasible(spec, count)
@@ -214,28 +207,4 @@ def solve_round(inst: Instance, spec: RoundSpec,
     sol3 = _solve(build_psub3(inst, spec, deltas, w_cap=w_cap))
     if sol3.status is not LpStatus.OPTIMAL:
         return _infeasible(spec, count)
-    return _reconstruct(inst, spec, sol3.x, sol3.objective_value, "sub2+sub3", count)
-
-
-def round_spec(inst: Instance, m: int, n: int,
-               prev_cycle: int | None = None, entry=None) -> RoundSpec:
-    """The round layout for a new cycle starting at period m.
-
-    With zero goodwill loss a round is always the single cycle [m, n]. With
-    goodwill loss, a round joins the nearest previous production cycle (when
-    one exists) with the new cycle, so the prior cycle's realized demands can
-    be re-optimized against the lost-sales carryover.
-
-    ``entry`` maps a round start period t0 to the (capital, lost sales) state
-    at the end of period t0 - 1 along the committed plan; without it the
-    round enters with ``(inst.B0, 0.0)``.
-    """
-    if not 1 <= m <= n <= inst.T:
-        raise ValueError("need 1 <= m <= n <= T")
-    starts = (m,)
-    if inst.beta != 0 and prev_cycle is not None:
-        if not 1 <= prev_cycle < m:
-            raise ValueError("prev_cycle must precede m")
-        starts = (prev_cycle, m)
-    B_in, w_in = entry(starts[0]) if entry is not None else (inst.B0, 0.0)
-    return RoundSpec(m=starts[0], n=n, cycle_starts=starts, B_in=B_in, w_in=w_in)
+    return _reconstruct(spec, sol3.x, sol3.objective_value, "sub2+sub3", count)

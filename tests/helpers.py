@@ -28,7 +28,7 @@ import numpy as np
 from lotflow.frh import Solution
 from lotflow.lp import LpNumericalError, LpProblem, LpStatus, lp_solve
 from lotflow.model import Instance, Plan, evaluate_plan
-from lotflow.oracle import OracleConfig, OracleGuardError, _delta_patterns
+from lotflow.oracle import MAX_T, OracleGuardError, _delta_patterns
 
 VERTEX_FEAS_TOL = 1e-7
 
@@ -136,12 +136,11 @@ def equality_lp(inst: Instance, x: np.ndarray, delta: np.ndarray,
                      objective_offset=-inst.B0)
 
 
-def enumerate_solve(inst: Instance, cfg: OracleConfig | None = None) -> Solution:
+def enumerate_solve(inst: Instance, max_T: int = MAX_T) -> Solution:
     """Solve every setup and survival pattern; return the best feasible plan."""
-    cfg = cfg or OracleConfig()
-    if inst.T > cfg.max_T:
+    if inst.T > max_T:
         raise OracleGuardError(
-            f"T={inst.T} exceeds the enumeration guard max_T={cfg.max_T}")
+            f"T={inst.T} exceeds the enumeration guard max_T={max_T}")
     T = inst.T
     deltas = _delta_patterns(inst)
     best_val = -math.inf

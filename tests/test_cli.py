@@ -271,17 +271,43 @@ class TestBench:
         with (out / "summary.csv").open(encoding="utf-8") as fh:
             assert "degenerate" in csv.DictReader(fh).fieldnames
 
-        # a run whose loan cannot be repaid is counted in its group
+        assert sum(cell["errors"] for cell in summary["pivot"]) == 0
+
+        # a run whose loan cannot be repaid and one whose LP input overflows
+        # are each counted in their group
         from lotflow import gen_random_small
         from lotflow.cli import RunReport, _bench_one
         unpayable = Instance(T=2, d=[1, 1], p=[1, 1], c=[1, 1], h=[1, 1],
                              s=[100, 100], Bc=0.0, BL=100.0, TL=1, r=10.0)
+        overflowing = Instance(T=2, d=[30, 40], p=[1e308] * 2, c=[5] * 2,
+                               h=[1] * 2, s=[100] * 2, Bc=500.0)
         report = RunReport(scheme="table2")
-        for idx, inst in enumerate([unpayable, gen_random_small(seed=3, T=2, beta=0.0)]):
-            report.add(**_bench_one(idx, inst, {}, False, 8))
-        assert [row["degenerate"] for row in report.rows] == [True, False]
+        with np.errstate(all="ignore"):
+            for idx, inst in enumerate([unpayable, overflowing,
+                                        gen_random_small(seed=3, T=2, beta=0.0)]):
+                report.add(**_bench_one(idx, inst, {}, False, 8))
+        assert [row["degenerate"] for row in report.rows] == [True, None, False]
         [cell] = report.summaries()
-        assert (cell["group"], cell["cases"], cell["degenerate"]) == ("T=2", 2, 1)
+        assert (cell["group"], cell["cases"], cell["degenerate"],
+                cell["errors"]) == ("T=2", 3, 1, 1)
+        # the failed solve has no time; the mean covers the other two
+        ok = [report.rows[0]["frh_time"], report.rows[2]["frh_time"]]
+        assert cell["mean_frh_time"] == pytest.approx(sum(ok) / 2)
+        out = tmp_path / "failed"
+        report.write(out)
+        text = (out / "summary.json").read_text(encoding="utf-8")
+
+        def no_constant(name):
+            raise ValueError(f"summary.json holds {name}")
+
+        assert json.loads(text, parse_constant=no_constant)["pivot"][0]["errors"] == 1
+        with (out / "summary.csv").open(encoding="utf-8") as fh:
+            assert [row["errors"] for row in csv.DictReader(fh)] == ["1"]
+
+        # with no successful solve in a group the mean time is null
+        failed = RunReport(scheme="table2")
+        failed.add(**report.rows[1])
+        assert failed.summaries()[0]["mean_frh_time"] is None
 
 
 # field values that no instance accepts, mixed in with valid small ones

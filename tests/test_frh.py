@@ -76,12 +76,33 @@ class TestAdjustments:
         assert sol.objective == pytest.approx(full, abs=1e-4)
         assert recurse(inst).objective == pytest.approx(plain, abs=1e-4)
 
-    def test_desk_instance_path(self):
-        # pins the round cascade and both Adj1 acceptances on Table 1
-        sol = solve_frh(gen_table1(Bc=200))
-        assert sol.objective == 1891.3076923076924
-        assert sol.lp_count == 83
-        assert sol.adjustments == [("Adj1", (4, 8, 9)), ("Adj1", (9, 10, 11))]
+    @pytest.mark.parametrize("inst, objective, lp_count, adjustments, x", [
+        pytest.param(gen_table1(Bc=200), 1891.3076923076924, 83,
+                     [("Adj1", (4, 8, 9)), ("Adj1", (9, 10, 11))],
+                     [1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 1, 1], id="desk-Bc200"),
+        pytest.param(gen_table1(Bc=300), 2354.6153846153848, 83,
+                     [("Adj1", (4, 8, 9)), ("Adj1", (9, 10, 11))],
+                     [1, 1, 1, 1, 0, 0, 0, 1, 1, 1, 1, 1], id="desk-Bc300"),
+        pytest.param(gen_table1(Bc=200, BL=300, TL=3, r=0.1),
+                     1970.6999999999998, 85,
+                     [("Adj1", (4, 8, 9)), ("Adj1", (9, 10, 11))],
+                     [1, 0, 1, 1, 0, 0, 0, 1, 1, 1, 1, 1], id="desk-loan"),
+        pytest.param(gen_random_small(seed=11, T=8, beta=0.0),
+                     12218.180894050343, 36, [],
+                     [1, 1, 0, 1, 0, 1, 1, 0], id="random-beta0"),
+        # far below the exact optimum 1177.71 (README, "Accuracy and cost")
+        pytest.param(gen_random_small(seed=9182, T=6, beta=1.0, with_loan=True),
+                     658.7772360696672, 26, [("Adj2", (2, 3))],
+                     [0, 1, 1, 0, 1, 0], id="random-9182-loan"),
+    ])
+    def test_desk_instance_path(self, inst, objective, lp_count, adjustments,
+                                x):
+        # pins the round cascade, the accepted adjustments and the setups
+        sol = solve_frh(inst)
+        assert sol.objective == objective
+        assert sol.lp_count == lp_count
+        assert sol.adjustments == adjustments
+        assert sol.trajectory.x.tolist() == x
 
 
 class TestCorollary2Postpass:

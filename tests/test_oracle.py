@@ -5,7 +5,7 @@ from itertools import count
 import numpy as np
 import pytest
 
-from lotflow import (Instance, OracleConfig, OracleGuardError,
+from lotflow import (Instance, OracleGuardError,
                      check_feasibility, evaluate_plan, gen_random_small,
                      gen_table1, solve_exact, solve_frh)
 from lotflow.lp import LpStatus, lp_solve
@@ -26,7 +26,7 @@ class TestGuard:
             solve_exact(gen_table1(Bc=200))
 
     def test_guard_is_configurable(self):
-        sol = solve_exact(gen_table1(Bc=200), OracleConfig(max_T=12))
+        sol = solve_exact(gen_table1(Bc=200), max_T=12)
         assert sol.objective == pytest.approx(1891.3076923, rel=1e-6)
 
 

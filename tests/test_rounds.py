@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from lotflow import Instance, Plan, evaluate_plan
+import lotflow.frh as frh
+from lotflow import Instance, Plan, evaluate_plan, gen_random_small, gen_table1
 from lotflow.lp import LpStatus, lp_solve
 from lotflow.rounds import (FEASIBLE, INFEASIBLE, TOL_STRICT, RoundSpec,
                             build_psub1, build_psub2, build_psub3,
-                            infer_deltas, round_spec, solve_round)
+                            infer_deltas, solve_round)
 
 
 def single_period_instance():
@@ -23,24 +24,25 @@ def goodwill_instance():
 class TestHandExamples:
     def test_single_cycle_bb(self):
         # sell 30 units at margin 16 minus one setup of 100
-        spec = RoundSpec(m=1, n=1, cycle_starts=(1,), B_in=250.0)
-        sol = solve_round(single_period_instance(), spec)
+        spec = RoundSpec(n=1, cycle_starts=(1,), B_in=250.0)
+        inst = single_period_instance()
+        sol = solve_round(inst, spec)
         assert sol.status == FEASIBLE
         assert sol.BB == pytest.approx(380.0)
         assert sol.which_model == "sub1"
         assert sol.v == pytest.approx([30.0])
         assert sol.y == pytest.approx([30.0])
-        assert sol.B_out == pytest.approx(630.0)
+        assert evaluate_plan(inst, Plan(sol.y, sol.v)).B[1] == pytest.approx(630.0)
 
     def test_capital_caps_production(self):
-        spec = RoundSpec(m=1, n=1, cycle_starts=(1,), B_in=200.0)
+        spec = RoundSpec(n=1, cycle_starts=(1,), B_in=200.0)
         sol = solve_round(single_period_instance(), spec)
         # only (200 - 100) / 5 = 20 units affordable
         assert sol.v == pytest.approx([20.0])
         assert sol.BB == pytest.approx(20 * 16 - 100)
 
     def test_setup_unaffordable_is_infeasible(self):
-        spec = RoundSpec(m=1, n=1, cycle_starts=(1,), B_in=50.0)
+        spec = RoundSpec(n=1, cycle_starts=(1,), B_in=50.0)
         sol = solve_round(single_period_instance(), spec)
         # producing nothing still pays the setup, ending below zero capital
         assert sol.status == INFEASIBLE
@@ -49,7 +51,7 @@ class TestHandExamples:
 class TestCascade:
     def test_sub1_infeasible_triggers_relaxation(self):
         inst = goodwill_instance()
-        spec = RoundSpec(m=1, n=2, cycle_starts=(1,), B_in=60.0)
+        spec = RoundSpec(n=2, cycle_starts=(1,), B_in=60.0)
         assert lp_solve(build_psub1(inst, spec)).status is LpStatus.INFEASIBLE
         sol = solve_round(inst, spec)
         assert sol.status == FEASIBLE
@@ -59,14 +61,14 @@ class TestCascade:
 
     def test_infer_deltas_flags_dead_period(self):
         inst = goodwill_instance()
-        spec = RoundSpec(m=1, n=2, cycle_starts=(1,), B_in=60.0)
+        spec = RoundSpec(n=2, cycle_starts=(1,), B_in=60.0)
         assert list(infer_deltas(inst, spec, [50.0, 0.0])) == [1, 0]
         # serving everything keeps both periods alive
         assert list(infer_deltas(inst, spec, [100.0, 10.0])) == [1, 1]
 
     def test_sub3_matches_inferred_flags(self):
         inst = goodwill_instance()
-        spec = RoundSpec(m=1, n=2, cycle_starts=(1,), B_in=60.0)
+        spec = RoundSpec(n=2, cycle_starts=(1,), B_in=60.0)
         sol2 = lp_solve(build_psub2(inst, spec))
         assert sol2.status is LpStatus.OPTIMAL
         deltas = infer_deltas(inst, spec, sol2.x)
@@ -78,7 +80,7 @@ class TestCascade:
     def test_zero_beta_skips_relaxation(self):
         inst = Instance(T=2, d=[30, 40], p=[21, 21], c=[5, 5], h=[1, 1],
                         s=[100, 100], Bc=500.0, beta=0.0)
-        spec = RoundSpec(m=1, n=2, cycle_starts=(1,), B_in=500.0)
+        spec = RoundSpec(n=2, cycle_starts=(1,), B_in=500.0)
         sol = solve_round(inst, spec)
         assert sol.status == FEASIBLE
         assert sol.lp_solves == 1
@@ -88,23 +90,23 @@ class TestRoundSolutionShape:
     def test_two_cycle_production_sums(self):
         inst = Instance(T=3, d=[30, 40, 20], p=[21, 21, 21], c=[5, 5, 5],
                         h=[1, 1, 1], s=[100, 100, 100], Bc=900.0, beta=0.5)
-        spec = RoundSpec(m=1, n=3, cycle_starts=(1, 2), B_in=900.0)
+        spec = RoundSpec(n=3, cycle_starts=(1, 2), B_in=900.0)
         sol = solve_round(inst, spec)
         assert sol.status == FEASIBLE
         # production happens only at cycle launches, covering the cycle
         assert sol.y[0] == pytest.approx(sol.v[0])
         assert sol.y[1] == pytest.approx(sol.v[1] + sol.v[2])
         assert sol.y[2] == 0.0
-        assert sol.B_out == pytest.approx(spec.B_in + sol.BB)
+        traj = evaluate_plan(inst, Plan(sol.y, sol.v))
+        assert traj.B[3] == pytest.approx(spec.B_in + sol.BB)
 
     def test_spliced_plan_is_consistent(self):
         inst = Instance(T=3, d=[30, 40, 20], p=[21, 21, 21], c=[5, 5, 5],
                         h=[1, 1, 1], s=[100, 100, 100], Bc=900.0, beta=0.5)
-        spec = RoundSpec(m=1, n=3, cycle_starts=(1, 2), B_in=900.0)
+        spec = RoundSpec(n=3, cycle_starts=(1, 2), B_in=900.0)
         sol = solve_round(inst, spec)
         traj = evaluate_plan(inst, Plan(sol.y, sol.v))
-        assert traj.B[3] == pytest.approx(sol.B_out)
-        assert traj.w[2] == pytest.approx(sol.w_out)
+        assert traj.B[3] == pytest.approx(spec.B_in + sol.BB)
         # zero inventory at each cycle boundary
         assert abs(traj.I[1]) <= 1e-9
         assert abs(traj.I[3]) <= 1e-9
@@ -112,11 +114,11 @@ class TestRoundSolutionShape:
     def test_w_cap_constrains_exit_lost_sales(self):
         inst = Instance(T=2, d=[30, 40], p=[21, 21], c=[5, 5], h=[1, 1],
                         s=[100, 100], Bc=600.0, beta=0.5)
-        spec = RoundSpec(m=1, n=2, cycle_starts=(1, 2), B_in=600.0)
+        spec = RoundSpec(n=2, cycle_starts=(1, 2), B_in=600.0)
         free = solve_round(inst, spec)
         capped = solve_round(inst, spec, w_cap=0.0)
         assert capped.status == FEASIBLE
-        assert capped.w_out <= 1e-9
+        assert evaluate_plan(inst, Plan(capped.y, capped.v)).w[1] <= 1e-9
         assert capped.BB <= free.BB + 1e-9
 
 
@@ -139,7 +141,7 @@ class TestRoundLpLayout:
     inst = Instance(T=3, d=[30, 40, 20], p=[21, 22, 23], c=[5, 6, 7],
                     h=[1, 2, 3], s=[100, 110, 120], Bc=900.0, BL=100.0,
                     TL=2, r=0.5, beta=0.5)
-    spec = RoundSpec(m=1, n=3, cycle_starts=(1, 2), B_in=1000.0)
+    spec = RoundSpec(n=3, cycle_starts=(1, 2), B_in=1000.0)
 
     def test_psub1(self):
         prob = build_psub1(self.inst, self.spec)
@@ -180,44 +182,78 @@ class TestRoundLpLayout:
 
 
 class TestEnumerateRoundSpecs:
-    """The round layout ``round_spec`` picks for each window (m, n)."""
+    """The round layouts and entry states the FRH sends to ``solve_round``."""
 
-    def test_zero_beta_single_cycle(self):
-        inst = Instance(T=8, d=[10] * 8, p=[20] * 8, c=[5] * 8, h=[1] * 8,
-                        s=[50] * 8, Bc=500.0, beta=0.0)
-        spec = round_spec(inst, 3, 7)
-        assert spec.cycle_starts == (3,)
-        assert (spec.m, spec.n) == (3, 7)
+    @staticmethod
+    def sent_specs(inst, monkeypatch):
+        """Run the FRH's recursion and adjustments, recording every spec.
 
-    def test_goodwill_joins_nearest_previous_cycle(self):
-        inst = Instance(T=8, d=[10] * 8, p=[20] * 8, c=[5] * 8, h=[1] * 8,
-                        s=[50] * 8, Bc=500.0, beta=0.5)
-        spec = round_spec(inst, 5, 8, prev_cycle=2,
-                          entry=lambda t0: (500.0, 0.0))
-        assert spec.m == 2
-        assert spec.cycle_starts == (2, 5)
+        Returns ``(n, m, spec, base)`` per round: ``m`` is the new cycle's
+        start in a recursion round and None in an adjust round, and ``base``
+        the prefix the spec was built from.
+        """
+        sent = []
 
-    def test_goodwill_without_previous_cycle(self):
-        inst = Instance(T=4, d=[10] * 4, p=[20] * 4, c=[5] * 4, h=[1] * 4,
-                        s=[50] * 4, Bc=500.0, beta=0.5)
-        spec = round_spec(inst, 1, 4)
-        assert spec.cycle_starts == (1,)
+        def recording(inst, spec, w_cap=None):
+            sent.append(spec)
+            return solve_round(inst, spec, w_cap=w_cap)
+
+        monkeypatch.setattr(frh, "solve_round", recording)
+        runner = frh._Frh(inst)
+        calls = []
+        for n in range(1, inst.T + 1):
+            bases = list(runner.prefixes)
+            runner.step(n)
+            # the recursion tries every round start m = 1..n in turn
+            assert len(sent) == n
+            calls += [(n, m, spec, bases[m - 1])
+                      for m, spec in enumerate(sent, start=1)]
+            sent.clear()
+            cur = runner.prefixes[n]
+            runner.adjust(n)
+            calls += [(n, None, spec, cur) for spec in sent]
+            sent.clear()
+        for n, _, spec, base in calls:
+            assert spec.n == n
+            # the clamped capital and lost sales of the base before the round
+            t0 = spec.cycle_starts[0]
+            assert spec.B_in == max(0.0, float(base.traj.B[t0 - 1]))
+            w_in = max(0.0, float(base.traj.w[t0 - 2])) if t0 >= 2 else 0.0
+            assert spec.w_in == w_in
+        return calls
+
+    def test_zero_beta_single_cycle(self, monkeypatch):
+        inst = gen_random_small(seed=11, T=8, beta=0.0)
+        calls = self.sent_specs(inst, monkeypatch)
+        assert len(calls) == inst.T * (inst.T + 1) // 2
+        assert all(spec.cycle_starts == (m,) for _, m, spec, _ in calls)
+
+    def test_goodwill_joins_nearest_previous_cycle(self, monkeypatch):
+        calls = self.sent_specs(gen_table1(Bc=200), monkeypatch)
+        joined = [(m, spec, base.last_round[0][-1])
+                  for _, m, spec, base in calls
+                  if m is not None and base.last_round is not None]
+        assert joined
+        # the base prefix's last launch, then the new cycle
+        assert all(spec.cycle_starts == (last, m) for m, spec, last in joined)
+        assert any(m is None for _, m, _, _ in calls)
+
+    def test_goodwill_without_previous_cycle(self, monkeypatch):
+        calls = self.sent_specs(gen_table1(Bc=200), monkeypatch)
+        fresh = [(m, spec) for _, m, spec, base in calls
+                 if m is not None and base.last_round is None]
+        assert fresh
+        assert all(spec.cycle_starts == (m,) for m, spec in fresh)
 
     def test_invalid_window_rejected(self):
-        inst = Instance(T=4, d=[10] * 4, p=[20] * 4, c=[5] * 4, h=[1] * 4,
-                        s=[50] * 4, Bc=500.0)
         with pytest.raises(ValueError):
-            round_spec(inst, 3, 2)
+            RoundSpec(n=2, cycle_starts=(3,), B_in=100.0)
 
 
 class TestSpecValidation:
-    def test_cycle_starts_must_begin_at_m(self):
-        with pytest.raises(ValueError):
-            RoundSpec(m=2, n=4, cycle_starts=(3,), B_in=100.0)
-
     def test_negative_entry_state_rejected(self):
         with pytest.raises(ValueError):
-            RoundSpec(m=1, n=2, cycle_starts=(1,), B_in=-1.0)
+            RoundSpec(n=2, cycle_starts=(1,), B_in=-1.0)
 
 
 def test_relaxation_ordering_on_random_specs():
@@ -230,7 +266,7 @@ def test_relaxation_ordering_on_random_specs():
                         s=rng.uniform(20, 80, T),
                         Bc=float(rng.uniform(200, 800)),
                         beta=float(rng.choice([0.1, 0.5, 1.0])))
-        spec = RoundSpec(m=1, n=T, cycle_starts=(1,), B_in=inst.Bc)
+        spec = RoundSpec(n=T, cycle_starts=(1,), B_in=inst.Bc)
         sol1 = lp_solve(build_psub1(inst, spec))
         sol2 = lp_solve(build_psub2(inst, spec))
         if sol1.status is LpStatus.OPTIMAL:

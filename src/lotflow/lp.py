@@ -1,9 +1,16 @@
-"""Dense linear programming by two-phase primal simplex.
+"""Dense linear programming by two-phase bounded-variable primal simplex.
 
 One problem form: maximize over ``<=`` rows and boxes ``0 <= x <= hi``.
 Problems here are small (tens of variables), so a dense tableau is plenty.
-Pivoting uses Dantzig's rule and falls back to Bland's rule after a stall so
-that degenerate problems cannot cycle.
+The tableau holds the rows alone. The boxes live in the ratio test, by
+Dantzig's upper-bounding technique (Dantzig 1955; Chvátal, *Linear
+Programming*, ch. 8): a nonbasic column sits at 0 or at its bound, and one
+at its bound is carried complemented, as ``hi_j - x_j``. A step either
+pivots or flips a column between its bounds, and
+``LpSolution.iterations`` counts both. A column with ``hi == 0`` is pinned
+at zero and left out of the tableau. Pivoting uses Dantzig's rule and falls
+back to Bland's rule after 50 steps in a row that do not raise the
+objective, so that degenerate problems cannot cycle.
 """
 
 from __future__ import annotations
@@ -40,8 +47,9 @@ class LpProblem:
     """max objective . x + objective_offset  s.t.  rows . x <= rhs, 0 <= x <= hi.
 
     Every row is a ``<=`` row and every variable is nonnegative; ``hi``
-    defaults to ``+inf`` and a finite entry caps its variable. A negative
-    ``hi`` leaves the box empty, which the solve reports as infeasible.
+    defaults to ``+inf`` and a finite entry caps its variable; a cap is a
+    bound of the simplex, not a row. A negative ``hi`` leaves the box empty,
+    which the solve reports as infeasible.
     ``objective_offset`` is a constant added to the reported optimum (handy
     when the modeled objective has an affine constant term).
     """
@@ -102,20 +110,29 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int):
     basis[row] = col
 
 
-def _simplex_phase(tab: np.ndarray, basis: np.ndarray, iters: int,
-                   max_iters: int, allowed_cols: np.ndarray):
+def _simplex_phase(tab: np.ndarray, basis: np.ndarray, ub: np.ndarray,
+                   flipped: np.ndarray, iters: int, max_iters: int,
+                   allowed_cols: np.ndarray):
     """Run simplex iterations on a tableau whose last row is the cost row.
 
-    Returns (status_str, iterations) with status in
+    Column j stands for x_j, or for ``ub[j] - x_j`` where ``flipped[j]``;
+    either way its variable lies in [0, ub[j]]. An iteration either pivots
+    or, when the entering column reaches its own bound first, flips that
+    column. Returns (status_str, iterations) with status in
     {"optimal", "unbounded", "iteration_limit"}.
     """
     m = tab.shape[0] - 1
+    rhs = tab[:m, -1]
+    bounded = np.isfinite(ub)
+    # without a finite bound no basic variable can rise to one
+    any_bounded = bool(bounded.any())
+    bounded_rows = bounded[basis]
     stall = 0
     use_bland = False
     last_obj = tab[-1, -1]
     while True:
         cost = tab[-1, :-1]
-        candidates = np.where((cost < -_PIVOT_TOL) & allowed_cols)[0]
+        candidates = ((cost < -_PIVOT_TOL) & allowed_cols).nonzero()[0]
         if candidates.size == 0:
             return "optimal", iters
         if iters >= max_iters:
@@ -123,23 +140,52 @@ def _simplex_phase(tab: np.ndarray, basis: np.ndarray, iters: int,
         if use_bland:
             col = int(candidates[0])
         else:
-            col = int(candidates[np.argmin(cost[candidates])])
+            col = int(candidates[cost[candidates].argmin()])
         colvec = tab[:m, col]
-        positive = np.where(colvec > _PIVOT_TOL)[0]
-        if positive.size == 0:
-            return "unbounded", iters
-        ratios = tab[positive, -1] / colvec[positive]
-        best = ratios.min()
-        ties = positive[ratios <= best + 1e-12]
-        if ties.size == 0:
-            # only NaN ratios leave no row to pivot out
-            return "iteration_limit", iters
-        # among tied rows, pivot out the basic variable of lowest index
-        row = int(ties[np.argmin(basis[ties])])
-        _pivot(tab, basis, row, col)
+        # rows whose basic variable falls to 0, then rows whose basic
+        # variable rises to its bound
+        rows = (colvec > _PIVOT_TOL).nonzero()[0]
+        ratios = rhs[rows] / colvec[rows]
+        if any_bounded:
+            up = ((colvec < -_PIVOT_TOL) & bounded_rows).nonzero()[0]
+            if up.size:
+                rows = np.concatenate([rows, up])
+                ratios = np.concatenate(
+                    [ratios, (ub[basis[up]] - rhs[up]) / -colvec[up]])
+        step = ub[col]
+        best = ratios.min() if rows.size else math.inf
+        if step <= best:
+            if step == math.inf:
+                return "unbounded", iters
+            # the entering column reaches its own bound first: flip it
+            tab[:, -1] -= step * tab[:, col]
+            tab[:, col] *= -1.0
+            flipped[col] = not flipped[col]
+        else:
+            ties = rows[ratios <= best + 1e-12]
+            if ties.size == 0:
+                # only NaN ratios leave no row to pivot out
+                return "iteration_limit", iters
+            if use_bland:
+                row = int(ties[np.argmin(basis[ties])])
+            else:
+                # the largest pivot element among tied rows keeps the
+                # division from blowing up rounding errors
+                row = int(ties[np.argmax(np.abs(colvec[ties]))])
+            if colvec[row] < 0:
+                # the basic variable leaves at its bound: complement it
+                # so that its row pivots like any other
+                out = basis[row]
+                tab[row] *= -1.0
+                tab[row, -1] += ub[out]
+                tab[row, out] = 1.0
+                flipped[out] = not flipped[out]
+            _pivot(tab, basis, row, col)
+            bounded_rows[row] = bounded[col]
         iters += 1
         obj = tab[-1, -1]
-        if obj > last_obj - 1e-12:
+        # the corner holds the objective being raised
+        if obj <= last_obj + 1e-12:
             stall += 1
             if stall >= 50:
                 use_bland = True
@@ -150,12 +196,12 @@ def _simplex_phase(tab: np.ndarray, basis: np.ndarray, iters: int,
 
 def lp_solve(prob: LpProblem) -> LpSolution:
     """Solve an :class:`LpProblem`; never raises for infeasible/unbounded input."""
-    n = prob.n_vars
-    # A x <= b: the problem's rows, then one cap row x_j <= hi_j per finite box
-    capped = np.flatnonzero(prob.hi < math.inf)
-    A = np.vstack([prob.rows, np.eye(n)[capped]])
-    b = np.concatenate([prob.rhs, prob.hi[capped]])
-    m = len(b)
+    if (prob.hi < 0).any():
+        return LpSolution(LpStatus.INFEASIBLE)
+    # a column with hi == 0 stays at zero, so it never enters the tableau
+    live = np.flatnonzero(prob.hi > 0)
+    A, b = prob.rows[:, live], prob.rhs
+    n, m = len(live), len(b)
     max_iterations = 50 * (n + m + 1)
     # a row with a negative rhs is negated into a >= row, whose slack turns
     # surplus and which starts basic on an artificial
@@ -174,6 +220,11 @@ def lp_solve(prob: LpProblem) -> LpSolution:
     tab[:m, -1] = side * b
     basis = slack_cols.copy()
     basis[neg] = art_cols
+    ub = np.full(total, math.inf)
+    ub[:n] = prob.hi[live]
+    flipped = np.zeros(total, dtype=bool)
+    # views of the x columns' bounds and of which of them sit complemented
+    hi, at_hi = ub[:n], flipped[:n]
 
     iters = 0
     allowed = np.ones(total, dtype=bool)
@@ -182,7 +233,8 @@ def lp_solve(prob: LpProblem) -> LpSolution:
         tab[-1, art_start:total] = 1.0
         for i in neg:
             tab[-1] -= tab[i]
-        status, iters = _simplex_phase(tab, basis, iters, max_iterations, allowed)
+        status, iters = _simplex_phase(tab, basis, ub, flipped, iters,
+                                       max_iterations, allowed)
         if status == "iteration_limit":
             return LpSolution(LpStatus.NUMERICAL_FAILURE, iterations=iters)
         phase1 = -tab[-1, -1]
@@ -197,22 +249,27 @@ def lp_solve(prob: LpProblem) -> LpSolution:
                     iters += 1
         allowed[art_start:] = False
 
-    # phase 2: maximize obj -> minimize -obj; rebuild the cost row
+    # phase 2: maximize obj -> minimize -obj; rebuild the cost row, where a
+    # flipped column hi_j - x_j carries +obj_j and adds obj_j hi_j
+    c = prob.objective[live]
     tab[-1, :] = 0.0
-    tab[-1, :n] = -prob.objective
-    for i in range(m):
-        j = basis[i]
-        if abs(tab[-1, j]) > 0:
-            tab[-1] -= tab[-1, j] * tab[i]
-    status, iters = _simplex_phase(tab, basis, iters, max_iterations, allowed)
+    tab[-1, :n] = np.where(at_hi, c, -c)
+    tab[-1, -1] = c[at_hi] @ hi[at_hi]
+    # a basic column is a unit column, so clearing one leaves the others
+    for i in (np.abs(tab[-1, basis]) > 0).nonzero()[0]:
+        tab[-1] -= tab[-1, basis[i]] * tab[i]
+    status, iters = _simplex_phase(tab, basis, ub, flipped, iters,
+                                   max_iterations, allowed)
     if status == "iteration_limit":
         return LpSolution(LpStatus.NUMERICAL_FAILURE, iterations=iters)
     if status == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, iterations=iters)
 
-    x = np.zeros(total)
-    x[basis] = tab[:m, -1]
+    values = np.zeros(total)
+    values[basis] = tab[:m, -1]
+    values = values[:n]
+    x = np.zeros(prob.n_vars)
     # adding 0.0 turns a -0.0 that pivoting can leave in the rhs into 0.0
-    x = x[:n] + 0.0
+    x[live] = np.where(at_hi, hi - values, values) + 0.0
     value = float(prob.objective @ x) + prob.objective_offset
     return LpSolution(LpStatus.OPTIMAL, x=x, objective_value=value, iterations=iters)

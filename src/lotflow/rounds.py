@@ -101,12 +101,20 @@ def _round_lp(inst: Instance, spec: RoundSpec, model: str,
     ]
     hi = d.copy()
     if model != "sub2":
-        ed, ed0, shrink, shrink0 = demand_affine(inst, spec.m, spec.n,
-                                                  spec.w_in, deltas)
-        if model == "sub1":
-            hi = np.where(ed.any(axis=1), math.inf, ed0)
+        if model == "sub1" and inst.beta == 0:
+            # without goodwill loss the effective demand is d itself
+            ed, ed0 = np.zeros((L, L)), d
+        else:
+            ed, ed0, shrink, shrink0 = demand_affine(inst, spec.m, spec.n,
+                                                      spec.w_in, deltas)
         # realized demand within effective demand
-        blocks.append((V - ed, ed0))
+        if model == "sub1":
+            # a constant effective demand bounds its v and needs no row
+            live = ed.any(axis=1)
+            hi = np.where(live, math.inf, ed0)
+            blocks.append(((V - ed)[live], ed0[live]))
+        else:
+            blocks.append((V - ed, ed0))
         if model == "sub3":
             # demand must actually fall below the goodwill shrink
             dead = np.flatnonzero(deltas[1:] == 0) + 1

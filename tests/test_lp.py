@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lotflow import lp
 from lotflow.lp import LpError, LpProblem, LpStatus, lp_solve
 
 from helpers import (random_bounded_lp, random_infeasible_lp, random_one_form_lp,
@@ -83,6 +84,79 @@ def test_degenerate_problem_terminates():
     sol = lp_solve(prob)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("n, pivots", [(5, 31), (6, 63), (7, 127)])
+def test_klee_minty_takes_every_dantzig_pivot(n, pivots):
+    # max sum 2^(n-1-j) x_j  s.t.  sum_{j<i} 2^(i-j+1) x_j + x_i <= 5^(i+1):
+    # Dantzig's rule visits all 2^n vertices, each step raising the
+    # objective, so no step counts as a stall and Bland's rule never starts
+    rows = np.eye(n)
+    for i in range(n):
+        for j in range(i):
+            rows[i, j] = 2.0 ** (i - j + 1)
+    prob = LpProblem(objective=[2.0 ** (n - 1 - j) for j in range(n)],
+                     rows=rows, rhs=[5.0 ** (i + 1) for i in range(n)])
+    sol = lp_solve(prob)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.iterations == pivots
+    assert sol.objective_value == 5.0 ** n
+
+
+def test_ratio_tie_takes_the_largest_pivot():
+    # both rows reach zero at x0 = 1, row 0 through a pivot element of 6e-8;
+    # columns x0 | s0 | s1 | rhs, with the slacks basic
+    tab = np.array([[6e-8, 1.0, 0.0, 6e-8],
+                    [1.0, 0.0, 1.0, 1.0],
+                    [-1.0, 0.0, 0.0, 0.0]])
+    basis = np.array([1, 2])
+    status, iters = lp._simplex_phase(tab, basis, np.full(3, math.inf),
+                                      np.zeros(3, dtype=bool), 0, 1,
+                                      np.ones(3, dtype=bool))
+    assert (status, iters) == ("optimal", 1)
+    assert basis.tolist() == [1, 0]
+
+
+def _counting_pivots(monkeypatch):
+    pivots = []
+
+    def counted(tab, basis, row, col):
+        pivots.append((row, col))
+        pivot(tab, basis, row, col)
+
+    pivot = lp._pivot
+    monkeypatch.setattr(lp, "_pivot", counted)
+    return pivots
+
+
+def test_entering_column_flips_at_its_bound(monkeypatch):
+    # max x0 + x1  s.t.  x0 + x1 <= 10, x0 <= 3: x0 enters and stops at its
+    # own bound 3 before the row binds, a flip without a pivot; then x1
+    # enters and pivots the row's slack out
+    pivots = _counting_pivots(monkeypatch)
+    sol = lp_solve(LpProblem(objective=[1.0, 1.0], rows=[[1.0, 1.0]],
+                             rhs=[10.0], hi=[3.0, math.inf]))
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.x.tolist() == [3.0, 7.0]
+    assert sol.objective_value == 10.0
+    assert sol.iterations == 2
+    assert pivots == [(0, 1)]
+
+
+def test_basic_variable_leaves_at_its_bound(monkeypatch):
+    # max 2 x0 + x1  s.t.  x0 - x1 <= 1, x1 <= 10, x0 <= 5: x0 enters at 1
+    # on row 0; when x1 enters, x0 rises with it and leaves row 0 at its
+    # bound 5 at x1 = 4; then the slack s0 enters and x1 climbs on to 10
+    pivots = _counting_pivots(monkeypatch)
+    sol = lp_solve(LpProblem(objective=[2.0, 1.0],
+                             rows=[[1.0, -1.0], [0.0, 1.0]], rhs=[1.0, 10.0],
+                             hi=[5.0, math.inf]))
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.x.tolist() == [5.0, 10.0]
+    assert sol.objective_value == 20.0
+    assert sol.iterations == 3
+    # tableau columns x0 | x1 | s0 | s1
+    assert pivots == [(0, 0), (0, 1), (1, 2)]
 
 
 def _two_var_problem(**changes):

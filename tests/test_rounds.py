@@ -1,9 +1,12 @@
 """Production-round sub-LP cascade and round layouts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import lotflow.frh as frh
+import lotflow.rounds as rounds
 from lotflow import Instance, Plan, evaluate_plan, gen_random_small, gen_table1
 from lotflow.lp import LpStatus, lp_solve
 from lotflow.rounds import (FEASIBLE, INFEASIBLE, TOL_STRICT, RoundSpec,
@@ -151,16 +154,34 @@ class TestRoundLpLayout:
             [-16, 0, 0],       # B1 >= 0
             [-16, -16, 8],     # B2 >= 0
             [-16, -16, -15],   # B3 >= 0
-            [1, 0, 0],         # v1 <= Ed1
             [-0.5, 1, 0],      # v2 <= Ed2
             [0.25, -0.5, 1],   # v3 <= Ed3
         ])
         np.testing.assert_array_equal(prob.rhs,
-                                      [900, 790, 900, 565, 565, 30, 25, 7.5])
-        # only Ed1 is a constant, so only v1 gets a finite upper bound
+                                      [900, 790, 900, 565, 565, 25, 7.5])
+        # only Ed1 is a constant, so v1 <= Ed1 is v1's bound and not a row
         np.testing.assert_array_equal(prob.hi, [30, np.inf, np.inf])
         np.testing.assert_array_equal(prob.objective, [16, 16, 15])
         assert prob.objective_offset == 565 - 1000
+
+    def test_psub1_without_goodwill(self, monkeypatch):
+        # at beta = 0 every effective demand is the constant d, so every
+        # v <= Ed is a bound: L capital rows and one row per launch remain
+        def refuse(*args, **kwargs):
+            raise AssertionError("demand_affine called at beta = 0")
+
+        monkeypatch.setattr(rounds, "demand_affine", refuse)
+        inst = replace(self.inst, beta=0.0)
+        prob = build_psub1(inst, self.spec)
+        np.testing.assert_array_equal(prob.rows, [
+            [5, 0, 0],
+            [-16, 6, 6],
+            [-16, 0, 0],
+            [-16, -16, 8],
+            [-16, -16, -15],
+        ])
+        np.testing.assert_array_equal(prob.rhs, [900, 790, 900, 565, 565])
+        np.testing.assert_array_equal(prob.hi, inst.d)
 
     def test_psub1_simplex_path(self):
         # pinned from a solve: a change to the tableau or the pivot order

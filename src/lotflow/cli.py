@@ -47,7 +47,8 @@ class RunReport:
     rows: list = field(default_factory=list)
 
     ROW_FIELDS = ("instance_id", "T", "beta", "frh_objective", "oracle_objective",
-                  "deviation", "frh_time", "lp_count", "degenerate", "error")
+                  "deviation", "frh_time", "oracle_time", "lp_count", "degenerate",
+                  "error")
 
     def add(self, **kwargs):
         """Keep the row fields of ``kwargs``; a table5 row also keeps its levels."""
@@ -63,6 +64,8 @@ class RunReport:
             rows = groups[key]
             devs = [r["deviation"] for r in rows if r["deviation"] is not None]
             times = [r["frh_time"] for r in rows if r["error"] is None]
+            oracle_times = [r["oracle_time"] for r in rows
+                            if r["oracle_time"] is not None and r["error"] is None]
             out.append({
                 "group": key,
                 "cases": len(rows),
@@ -72,6 +75,8 @@ class RunReport:
                 "mean_deviation": float(np.mean(devs)) if devs else None,
                 "max_deviation": float(np.max(devs)) if devs else None,
                 "mean_frh_time": float(np.mean(times)) if times else None,
+                "mean_oracle_time": (float(np.mean(oracle_times))
+                                     if oracle_times else None),
             })
         return out
 
@@ -95,7 +100,8 @@ class RunReport:
         with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=[
                 "group", "cases", "degenerate", "errors", "non_optimal",
-                "mean_deviation", "max_deviation", "mean_frh_time"])
+                "mean_deviation", "max_deviation", "mean_frh_time",
+                "mean_oracle_time"])
             writer.writeheader()
             writer.writerows(summary["pivot"])
 
@@ -149,6 +155,7 @@ def _bench_one(idx: int, inst: Instance, cfg_fields: dict, run_oracle: bool,
     row["beta"] = inst.beta
     row["oracle_objective"] = None
     row["deviation"] = None
+    row["oracle_time"] = None
     row["error"] = None
     try:
         start = time.perf_counter()
@@ -158,7 +165,9 @@ def _bench_one(idx: int, inst: Instance, cfg_fields: dict, run_oracle: bool,
         row["lp_count"] = sol.lp_count
         row["degenerate"] = sol.degenerate
         if run_oracle and inst.T <= oracle_max_t:
+            start = time.perf_counter()
             exact = solve_exact(inst, max_T=oracle_max_t)
+            row["oracle_time"] = time.perf_counter() - start
             row["oracle_objective"] = exact.objective
             row["deviation"] = relative_gap(exact.objective, sol.objective)
     except (LpNumericalError, LpError, InputError, OracleGuardError) as exc:

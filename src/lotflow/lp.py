@@ -11,12 +11,19 @@ pivots or flips a column between its bounds, and
 at zero and left out of the tableau. Pivoting uses Dantzig's rule and falls
 back to Bland's rule after 50 steps in a row that do not raise the
 objective, so that degenerate problems cannot cycle.
+
+An optimal solution keeps its final tableau, and ``lp_solve(child,
+warm=parent)`` re-solves a child problem from it: one with the parent's
+rows and objective, other right-hand sides and bounds (Land & Doig 1960).
+The parent's basis stays dual feasible, so a bounded dual simplex restores
+primal feasibility (Koberstein 2005) and the primal simplex then checks
+optimality, in a pivot or two where a cold solve takes a dozen.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -93,11 +100,37 @@ class LpProblem:
 
 
 @dataclass
+class Tableau:
+    """The tableau state of a solve; an optimal solution keeps its final
+    one, which a child re-solves from.
+
+    ``tab`` has columns x (the problem's ``live`` columns) | one slack per
+    row | one artificial per row that phase 1 started on, then the rhs; its
+    last row is the cost row. Column j stands for ``ub[j] - x_j`` where
+    ``flipped[j]``, and only ``allowed`` columns may enter the basis.
+    """
+
+    prob: LpProblem
+    live: np.ndarray
+    tab: np.ndarray
+    basis: np.ndarray
+    ub: np.ndarray
+    flipped: np.ndarray
+    allowed: np.ndarray
+
+    @property
+    def max_iterations(self) -> int:
+        return 50 * (len(self.live) + len(self.basis) + 1)
+
+
+@dataclass
 class LpSolution:
     status: LpStatus
     x: np.ndarray | None = None
     objective_value: float | None = None
     iterations: int = 0
+    # set on an optimal solution: the state a warm start begins from
+    tableau: Tableau | None = field(default=None, repr=False, compare=False)
 
 
 def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int):
@@ -108,6 +141,16 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int):
     tab[:, col] = 0.0
     tab[row, col] = 1.0
     basis[row] = col
+
+
+def _complement_row(tab: np.ndarray, ub: np.ndarray, flipped: np.ndarray,
+                    row: int, out: int):
+    """Swap the basic variable ``out`` of ``row`` for its complement
+    ``ub[out] - x_out`` (or back), so that it can leave at its bound."""
+    tab[row] *= -1.0
+    tab[row, -1] += ub[out]
+    tab[row, out] = 1.0
+    flipped[out] = not flipped[out]
 
 
 def _simplex_phase(tab: np.ndarray, basis: np.ndarray, ub: np.ndarray,
@@ -175,11 +218,7 @@ def _simplex_phase(tab: np.ndarray, basis: np.ndarray, ub: np.ndarray,
             if colvec[row] < 0:
                 # the basic variable leaves at its bound: complement it
                 # so that its row pivots like any other
-                out = basis[row]
-                tab[row] *= -1.0
-                tab[row, -1] += ub[out]
-                tab[row, out] = 1.0
-                flipped[out] = not flipped[out]
+                _complement_row(tab, ub, flipped, row, basis[row])
             _pivot(tab, basis, row, col)
             bounded_rows[row] = bounded[col]
         iters += 1
@@ -194,15 +233,72 @@ def _simplex_phase(tab: np.ndarray, basis: np.ndarray, ub: np.ndarray,
         last_obj = obj
 
 
-def lp_solve(prob: LpProblem) -> LpSolution:
-    """Solve an :class:`LpProblem`; never raises for infeasible/unbounded input."""
-    if (prob.hi < 0).any():
-        return LpSolution(LpStatus.INFEASIBLE)
+def _dual_simplex(tab: np.ndarray, basis: np.ndarray, ub: np.ndarray,
+                  flipped: np.ndarray, allowed: np.ndarray, iters: int,
+                  max_iters: int):
+    """Pivot a dual feasible tableau until its basic variables are in bounds.
+
+    Each step takes the basic variable furthest outside [0, ub] out of the
+    basis at the bound it violates; one above its bound has its row
+    complemented first, as in :func:`_simplex_phase`. The entering column
+    keeps the cost row nonnegative. Dantzig's rule gives way to Bland's
+    after 50 steps in a row that leave the cost row where it was. Returns
+    (status_str, iterations) with status in {"feasible", "infeasible",
+    "iteration_limit"}.
+    """
+    m = tab.shape[0] - 1
+    rhs = tab[:m, -1]
+    stall = 0
+    use_bland = False
+    while True:
+        below = -rhs
+        above = rhs - ub[basis]
+        violation = np.maximum(below, above)
+        row = int(violation.argmax())
+        worst = violation[row]
+        if math.isnan(worst):
+            return "iteration_limit", iters
+        if worst <= _PIVOT_TOL:
+            return "feasible", iters
+        if iters >= max_iters:
+            return "iteration_limit", iters
+        if use_bland:
+            out = (violation > _PIVOT_TOL).nonzero()[0]
+            row = int(out[np.argmin(basis[out])])
+        if above[row] > 0:
+            # the basic variable leaves at its bound: complemented, its
+            # value turns negative
+            _complement_row(tab, ub, flipped, row, basis[row])
+        rowvec = tab[row, :-1]
+        cols = ((rowvec < -_PIVOT_TOL) & allowed).nonzero()[0]
+        if cols.size == 0:
+            # no column can raise the basic variable: its row has no
+            # solution within the bounds
+            return "infeasible", iters
+        ratios = tab[-1, cols] / -rowvec[cols]
+        best = ratios.min()
+        ties = cols[ratios <= best + 1e-12]
+        if use_bland:
+            col = int(ties[0])
+        else:
+            col = int(ties[np.argmax(np.abs(rowvec[ties]))])
+        _pivot(tab, basis, row, col)
+        iters += 1
+        # a zero ratio leaves the cost row as it was
+        if best <= 1e-12:
+            stall += 1
+            if stall >= 50:
+                use_bland = True
+        else:
+            stall = 0
+
+
+def _cold_start(prob: LpProblem):
+    """Assemble the tableau and run phase 1; return (state, status, iters)."""
     # a column with hi == 0 stays at zero, so it never enters the tableau
     live = np.flatnonzero(prob.hi > 0)
     A, b = prob.rows[:, live], prob.rhs
     n, m = len(live), len(b)
-    max_iterations = 50 * (n + m + 1)
     # a row with a negative rhs is negated into a >= row, whose slack turns
     # surplus and which starts basic on an artificial
     neg = np.flatnonzero(b < 0)
@@ -223,23 +319,24 @@ def lp_solve(prob: LpProblem) -> LpSolution:
     ub = np.full(total, math.inf)
     ub[:n] = prob.hi[live]
     flipped = np.zeros(total, dtype=bool)
+    state = Tableau(prob, live, tab, basis, ub, flipped,
+                    np.ones(total, dtype=bool))
     # views of the x columns' bounds and of which of them sit complemented
     hi, at_hi = ub[:n], flipped[:n]
 
     iters = 0
-    allowed = np.ones(total, dtype=bool)
     if len(neg):
         # phase 1: minimize sum of artificials
         tab[-1, art_start:total] = 1.0
         for i in neg:
             tab[-1] -= tab[i]
         status, iters = _simplex_phase(tab, basis, ub, flipped, iters,
-                                       max_iterations, allowed)
+                                       state.max_iterations, state.allowed)
         if status == "iteration_limit":
-            return LpSolution(LpStatus.NUMERICAL_FAILURE, iterations=iters)
+            return state, status, iters
         phase1 = -tab[-1, -1]
         if phase1 > TOL_LP_FEAS:
-            return LpSolution(LpStatus.INFEASIBLE, iterations=iters)
+            return state, "infeasible", iters
         # drive leftover artificials out of the basis
         for i in range(m):
             if basis[i] >= art_start:
@@ -247,7 +344,7 @@ def lp_solve(prob: LpProblem) -> LpSolution:
                 if pivots.size:
                     _pivot(tab, basis, i, int(pivots[0]))
                     iters += 1
-        allowed[art_start:] = False
+        state.allowed[art_start:] = False
 
     # phase 2: maximize obj -> minimize -obj; rebuild the cost row, where a
     # flipped column hi_j - x_j carries +obj_j and adds obj_j hi_j
@@ -258,18 +355,79 @@ def lp_solve(prob: LpProblem) -> LpSolution:
     # a basic column is a unit column, so clearing one leaves the others
     for i in (np.abs(tab[-1, basis]) > 0).nonzero()[0]:
         tab[-1] -= tab[-1, basis[i]] * tab[i]
+    return state, "feasible", iters
+
+
+def _warm_start(prob: LpProblem, parent: LpSolution):
+    """Move a parent's final tableau to ``prob`` and restore primal
+    feasibility; return (state, status, iters)."""
+    old = parent.tableau
+    if old is None:
+        raise LpError("a warm start needs an optimal parent solution")
+    if not (np.array_equal(prob.rows, old.prob.rows)
+            and np.array_equal(prob.objective, old.prob.objective)):
+        raise LpError("a warm start needs the parent's rows and objective")
+    if (prob.hi[old.prob.hi == 0] > 0).any():
+        raise LpError("a warm start cannot free a column the parent fixed at 0")
+    live = old.live
+    n, m = len(live), len(prob.rhs)
+    hi = prob.hi[live]
+    state = Tableau(prob, live, old.tab.copy(), old.basis.copy(),
+                    old.ub.copy(), old.flipped.copy(), old.allowed.copy())
+    tab, ub, flipped = state.tab, state.ub, state.flipped
+    # the slack block holds the basis inverse times the rows' signs, so it
+    # carries a change of the right-hand sides into the rhs column
+    tab[:, -1] += tab[:, n : n + m] @ (prob.rhs - old.prob.rhs)
+    # a complemented column ub_j - x_j moves the rhs column with its bound
+    moved = flipped[:n] & (hi != ub[:n])
+    if moved.any():
+        if not np.isfinite(hi[moved]).all():
+            raise LpError("a warm start cannot free a column at its bound")
+        tab[:, -1] += tab[:, :n][:, moved] @ (hi[moved] - ub[:n][moved])
+    ub[:n] = hi
+    # a column fixed at 0 never enters; an artificial stays at 0
+    state.allowed[:n] = hi > 0
+    ub[n + m :] = 0.0
+    status, iters = _dual_simplex(tab, state.basis, ub, flipped, state.allowed,
+                                  0, state.max_iterations)
+    return state, status, iters
+
+
+def lp_solve(prob: LpProblem, warm: LpSolution | None = None) -> LpSolution:
+    """Solve an :class:`LpProblem`; never raises for infeasible/unbounded input.
+
+    ``warm`` is an optimal solution of a parent problem with the same rows
+    and objective; the solve then starts from its final tableau. The child
+    may change any right-hand side and bound, except that a column the
+    parent fixed at 0 stays there and one at a finite bound keeps a finite
+    bound. Otherwise :class:`LpError` is raised.
+    """
+    if (prob.hi < 0).any():
+        return LpSolution(LpStatus.INFEASIBLE)
+    if warm is None:
+        state, status, iters = _cold_start(prob)
+    else:
+        state, status, iters = _warm_start(prob, warm)
+    if status == "iteration_limit":
+        return LpSolution(LpStatus.NUMERICAL_FAILURE, iterations=iters)
+    if status == "infeasible":
+        return LpSolution(LpStatus.INFEASIBLE, iterations=iters)
+    tab, basis, ub, flipped = state.tab, state.basis, state.ub, state.flipped
+    n, m = len(state.live), len(prob.rhs)
     status, iters = _simplex_phase(tab, basis, ub, flipped, iters,
-                                   max_iterations, allowed)
+                                   state.max_iterations, state.allowed)
     if status == "iteration_limit":
         return LpSolution(LpStatus.NUMERICAL_FAILURE, iterations=iters)
     if status == "unbounded":
         return LpSolution(LpStatus.UNBOUNDED, iterations=iters)
 
-    values = np.zeros(total)
+    values = np.zeros(len(ub))
     values[basis] = tab[:m, -1]
     values = values[:n]
+    hi, at_hi = ub[:n], flipped[:n]
     x = np.zeros(prob.n_vars)
     # adding 0.0 turns a -0.0 that pivoting can leave in the rhs into 0.0
-    x[live] = np.where(at_hi, hi - values, values) + 0.0
+    x[state.live] = np.where(at_hi, hi - values, values) + 0.0
     value = float(prob.objective @ x) + prob.objective_offset
-    return LpSolution(LpStatus.OPTIMAL, x=x, objective_value=value, iterations=iters)
+    return LpSolution(LpStatus.OPTIMAL, x=x, objective_value=value,
+                      iterations=iters, tableau=state)

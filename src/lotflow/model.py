@@ -300,13 +300,22 @@ def capital_affine(inst: Instance, m: int, Y: np.ndarray, V: np.ndarray,
     from the capital at the end of period m + k - 1.
     """
     L = len(Y)
-    p, h, c, s = (a[m - 1 : m - 1 + L] for a in (inst.p, inst.h, inst.c, inst.s))
+    p, h, c = (a[m - 1 : m - 1 + L] for a in (inst.p, inst.h, inst.c))
     make = c[:, None] * Y
     # row k holds the capital at the end of local period k - 1; the stock
     # is cumsum(Y - V), and cumsum adds in period order
     cap = np.zeros((L + 1, Y.shape[1]))
     np.cumsum(p[:, None] * V - h[:, None] * np.cumsum(Y - V, axis=0) - make,
               axis=0, out=cap[1:])
+    cap0, need0 = capital_offsets(inst, m, x, B_in)
+    return cap[1:], cap0, make - cap[:-1], need0
+
+
+def capital_offsets(inst: Instance, m: int, x, B_in: float):
+    """The constant terms ``cap0`` and ``need0`` of :func:`capital_affine`,
+    the only ones its setups ``x`` enter."""
+    L = len(x)
+    s = inst.s[m - 1 : m - 1 + L]
     cap0 = np.empty(L + 1)
     b = cap0[0] = B_in
     due = inst.TL - m if inst.BL > 0 else -1
@@ -316,7 +325,7 @@ def capital_affine(inst: Instance, m: int, Y: np.ndarray, V: np.ndarray,
         if k == due:
             b -= inst.repayment
         cap0[k + 1] = b
-    return cap[1:], cap0[1:], make - cap[:-1], cap0[:-1] - s * x
+    return cap0[1:], cap0[:-1] - s * x
 
 
 # the per-period constraint rows of check_feasibility, in reporting order

@@ -11,7 +11,11 @@ completion of the node and its optimum bounds them from above. Every LP is
 in the production and realized demands (y, v) alone: with the setups and
 the survival pattern fixed, effective demand, inventory and capital are
 affine in them (``model.demand_affine`` and ``model.capital_affine``), so
-every row is a ``<=`` row and no big-M constants appear anywhere.
+every row is a ``<=`` row and no big-M constants appear anywhere. A
+pattern's rows and objective are built once: from node to node only the
+setup terms of the capital right-hand sides and the ``y`` bounds change. So
+only a pattern's root LP is solved cold, and every other node re-solves from
+its parent's final tableau (``lp_solve(..., warm=parent)``).
 
 A node is pruned when its LP is infeasible or its bound cannot beat the
 incumbent. When no undecided period produces in a node's optimum, the
@@ -28,8 +32,8 @@ import numpy as np
 
 from .frh import Solution, solve_frh
 from .lp import LpProblem, LpStatus, LpNumericalError, lp_solve
-from .model import (Instance, Plan, capital_affine, check_feasibility,
-                    demand_affine, evaluate_plan)
+from .model import (Instance, Plan, capital_affine, capital_offsets,
+                    check_feasibility, demand_affine, evaluate_plan)
 
 
 class OracleGuardError(ValueError):
@@ -67,20 +71,18 @@ def _delta_patterns(inst: Instance):
     return patterns
 
 
-def _combo_lp(inst: Instance, x: np.ndarray, delta: np.ndarray,
-              k: int) -> LpProblem:
-    """LP over (y, v) for a survival pattern and a search node.
+def _pattern_lp(inst: Instance, delta: np.ndarray) -> LpProblem:
+    """The root LP over (y, v) of a survival pattern: no setup fixed or paid.
 
-    The setups of periods before ``k`` are fixed to ``x``; periods from ``k``
-    on may produce without paying their setup cost. Effective demand,
-    inventory and capital are affine in (y, v), so every row is a ``<=``
-    row.
+    Effective demand, inventory and capital are affine in (y, v), so every
+    row is a ``<=`` row. Every node of the pattern keeps these rows and this
+    objective; :func:`_node_lp` changes only the setup terms of the rhs and
+    the ``y`` bounds.
     """
     T = inst.T
-    t = np.arange(T)
-    x = np.where(t < k, x, 0)
     Y, V = np.eye(T, 2 * T), np.eye(T, 2 * T, T)
-    cap, cap0, need, need0 = capital_affine(inst, 1, Y, V, x, inst.B0)
+    cap, cap0, need, need0 = capital_affine(inst, 1, Y, V, np.zeros(T, dtype=int),
+                                            inst.B0)
     ed, ed0, shrink, shrink0 = demand_affine(inst, 1, T, 0.0, delta)
     # a surviving period's shrink stays nonnegative, a dead one's does not
     # exceed zero; period 1 always survives and has no lost sales before it
@@ -93,11 +95,33 @@ def _combo_lp(inst: Instance, x: np.ndarray, delta: np.ndarray,
         side[:, None] * (shrink[1:] @ V),       # survival
     ])
     rhs = np.concatenate([need0, cap0, np.zeros(T), ed0, -side * shrink0[1:]])
-    hi = np.full(2 * T, math.inf)
-    hi[:T][(t < k) & (x == 0)] = 0.0
-    return LpProblem(objective=cap[-1], rows=rows,
-                     rhs=rhs, hi=hi,
+    return LpProblem(objective=cap[-1], rows=rows, rhs=rhs,
                      objective_offset=cap0[-1] - inst.B0)
+
+
+def _node_lp(root: LpProblem, inst: Instance, x: np.ndarray,
+             k: int) -> LpProblem:
+    """A search node's LP, from its pattern's root LP.
+
+    The setups of periods before ``k`` are fixed to ``x`` and paid in the
+    capital rows, and a period fixed off cannot produce; periods from ``k``
+    on may produce without paying their setup cost.
+    """
+    T = inst.T
+    fixed = np.arange(T) < k
+    cap0, need0 = capital_offsets(inst, 1, np.where(fixed, x, 0), inst.B0)
+    rhs = root.rhs.copy()
+    rhs[:T], rhs[T : 2 * T] = need0, cap0
+    hi = np.full(2 * T, math.inf)
+    hi[:T][fixed & (x == 0)] = 0.0
+    return LpProblem(objective=root.objective, rows=root.rows, rhs=rhs, hi=hi,
+                     objective_offset=cap0[-1] - inst.B0)
+
+
+def _combo_lp(inst: Instance, x: np.ndarray, delta: np.ndarray,
+              k: int) -> LpProblem:
+    """The LP of the node (``k``, ``x``) of the survival pattern ``delta``."""
+    return _node_lp(_pattern_lp(inst, delta), inst, x, k)
 
 
 def _beats(bound: float, incumbent: float) -> bool:
@@ -126,12 +150,14 @@ def solve_exact(inst: Instance, max_T: int = MAX_T) -> Solution:
     best_plan: Plan | None = None
     lp_count = 0
     for delta in _delta_patterns(inst):
-        # a node is (depth k, setups of the periods before k); the node
-        # pushed last is searched first
-        stack = [(0, np.zeros(T, dtype=int))]
+        root = _pattern_lp(inst, delta)
+        # a node is (depth k, setups of the periods before k, the parent's
+        # solution, which its LP re-solves from); the node pushed last is
+        # searched first
+        stack = [(0, np.zeros(T, dtype=int), None)]
         while stack:
-            k, x = stack.pop()
-            sol = lp_solve(_combo_lp(inst, x, delta, k))
+            k, x, parent = stack.pop()
+            sol = lp_solve(_node_lp(root, inst, x, k), warm=parent)
             lp_count += 1
             if sol.status is LpStatus.NUMERICAL_FAILURE:
                 raise LpNumericalError("oracle sub-LP hit the iteration limit")
@@ -154,7 +180,7 @@ def solve_exact(inst: Instance, max_T: int = MAX_T) -> Solution:
             if producing.size == 0:
                 # the completion with the undecided setups off attains this
                 # bound, so it is the only child worth a look
-                stack.append((T, x))
+                stack.append((T, x, sol))
                 continue
             # Up to the first producing period j, the x_t = 0 children keep
             # this optimum, so they are descended without an LP of their
@@ -162,9 +188,9 @@ def solve_exact(inst: Instance, max_T: int = MAX_T) -> Solution:
             # branches with its setup on first.
             j = k + int(producing[0])
             for t in range(k, j):
-                stack.append((t + 1, _setup_on(x, t)))
-            stack.append((j + 1, x))
-            stack.append((j + 1, _setup_on(x, j)))
+                stack.append((t + 1, _setup_on(x, t), sol))
+            stack.append((j + 1, x, sol))
+            stack.append((j + 1, _setup_on(x, j), sol))
     if best_plan is None:
         # nothing feasible, not even idling: report the null plan
         traj = evaluate_plan(inst, Plan.null(T))

@@ -118,8 +118,8 @@ class TestSolve:
         # fails the feasibility check: no optimum of the model, exit 4
         solve = oracle.lp_solve
 
-        def off_rows(prob):
-            sol = solve(prob)
+        def off_rows(*args, **kwargs):
+            sol = solve(*args, **kwargs)
             if sol.status is LpStatus.OPTIMAL:
                 sol.x[TINY_HOLDING_COST["T"] + 1] += 1e-5  # v of period 2
             return sol
@@ -269,12 +269,16 @@ class TestBench:
         degenerate = sum(row["degenerate"] == "True" for row in rows)
         assert sum(cell["degenerate"] for cell in summary["pivot"]) == degenerate
         with (out / "summary.csv").open(encoding="utf-8") as fh:
-            assert "degenerate" in csv.DictReader(fh).fieldnames
+            fields = csv.DictReader(fh).fieldnames
+        assert {"degenerate", "mean_oracle_time"} <= set(fields)
 
         assert sum(cell["errors"] for cell in summary["pivot"]) == 0
+        # without --oracle no row has an oracle time, and no group a mean
+        assert all(row["oracle_time"] == "" for row in rows)
+        assert all(cell["mean_oracle_time"] is None for cell in summary["pivot"])
 
         # a run whose loan cannot be repaid and one whose LP input overflows
-        # are each counted in their group
+        # are each counted in their group; only the first runs the oracle
         from lotflow import gen_random_small
         from lotflow.cli import RunReport, _bench_one
         unpayable = Instance(T=2, d=[1, 1], p=[1, 1], c=[1, 1], h=[1, 1],
@@ -285,14 +289,19 @@ class TestBench:
         with np.errstate(all="ignore"):
             for idx, inst in enumerate([unpayable, overflowing,
                                         gen_random_small(seed=3, T=2, beta=0.0)]):
-                report.add(**_bench_one(idx, inst, {}, False, 8))
+                report.add(**_bench_one(idx, inst, {}, idx == 0, 8))
         assert [row["degenerate"] for row in report.rows] == [True, None, False]
+        oracle_time = report.rows[0]["oracle_time"]
+        assert oracle_time > 0.0
+        assert [row["oracle_time"] for row in report.rows[1:]] == [None, None]
         [cell] = report.summaries()
         assert (cell["group"], cell["cases"], cell["degenerate"],
                 cell["errors"]) == ("T=2", 3, 1, 1)
         # the failed solve has no time; the mean covers the other two
         ok = [report.rows[0]["frh_time"], report.rows[2]["frh_time"]]
         assert cell["mean_frh_time"] == pytest.approx(sum(ok) / 2)
+        # the oracle's mean covers the one row that ran it
+        assert cell["mean_oracle_time"] == oracle_time
         out = tmp_path / "failed"
         report.write(out)
         text = (out / "summary.json").read_text(encoding="utf-8")
@@ -308,6 +317,7 @@ class TestBench:
         failed = RunReport(scheme="table2")
         failed.add(**report.rows[1])
         assert failed.summaries()[0]["mean_frh_time"] is None
+        assert failed.summaries()[0]["mean_oracle_time"] is None
 
 
 # field values that no instance accepts, mixed in with valid small ones

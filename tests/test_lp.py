@@ -240,3 +240,119 @@ def test_status_families():
     for _ in range(25):
         assert lp_solve(random_infeasible_lp(rng)).status is LpStatus.INFEASIBLE
         assert lp_solve(random_unbounded_lp(rng)).status is LpStatus.UNBOUNDED
+
+
+def _child(prob, rng):
+    """A child of ``prob``: some right-hand sides lowered, some bound zeroed."""
+    rhs = prob.rhs - np.where(rng.random(prob.rhs.size) < 0.5,
+                              rng.uniform(0.0, 3.0, prob.rhs.size), 0.0)
+    hi = prob.hi.copy()
+    if rng.random() < 0.5:
+        hi[int(rng.integers(0, prob.n_vars))] = 0.0
+    return LpProblem(objective=prob.objective, rows=prob.rows, rhs=rhs, hi=hi,
+                     objective_offset=prob.objective_offset)
+
+
+def test_warm_children_match_cold_solves():
+    # chains of children, each re-solved from its parent's final tableau,
+    # agree with a cold solve of the same child, infeasible ones included
+    rng = np.random.default_rng(23)
+    statuses = []
+    for _ in range(60):
+        parent = random_one_form_lp(rng)
+        parent_sol = lp_solve(parent)
+        assert parent_sol.status is LpStatus.OPTIMAL
+        for _ in range(4):
+            child = _child(parent, rng)
+            warm = lp_solve(child, warm=parent_sol)
+            cold = lp_solve(child)
+            statuses.append(cold.status)
+            assert warm.status is cold.status
+            if cold.status is not LpStatus.OPTIMAL:
+                break
+            assert warm.objective_value == pytest.approx(
+                cold.objective_value, rel=1e-9, abs=1e-9)
+            assert (child.rows @ warm.x <= child.rhs + 1e-9).all()
+            assert (0.0 <= warm.x).all() and (warm.x <= child.hi).all()
+            parent, parent_sol = child, warm
+    assert LpStatus.INFEASIBLE in statuses
+    assert statuses.count(LpStatus.OPTIMAL) > 100
+
+
+@pytest.mark.parametrize("changes, pivot, x, value", [
+    # x0 + x1 <= 2 puts x1 at -1: s1 enters on its row, and x0 falls to 2
+    (dict(rhs=[2.0, 3.0]), (0, 3), [2.0, 0.0], 4.0),
+    # x1 fixed at 0 stands 1 above its bound: its row is complemented and
+    # s0 enters on it, and x0 stays at 3
+    (dict(hi=[math.inf, 0.0]), (0, 2), [3.0, 0.0], 6.0),
+], ids=["rhs-lowered", "bound-zeroed"])
+def test_warm_start_takes_one_dual_pivot(monkeypatch, changes, pivot, x, value):
+    # max 2 x0 + x1  s.t.  x0 + x1 <= 4, x0 <= 3: the optimum (3, 1) has x1
+    # basic on row 0 and x0 on row 1; tableau columns x0 | x1 | s0 | s1
+    args = dict(objective=[2.0, 1.0], rows=[[1.0, 1.0], [1.0, 0.0]],
+                rhs=[4.0, 3.0])
+    parent = lp_solve(LpProblem(**args))
+    assert parent.x.tolist() == [3.0, 1.0]
+    pivots = _counting_pivots(monkeypatch)
+    sol = lp_solve(LpProblem(**{**args, **changes}), warm=parent)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.iterations == 1
+    assert pivots == [pivot]
+    assert sol.x.tolist() == x
+    assert sol.objective_value == value
+
+
+@pytest.mark.parametrize("changes", [
+    dict(rows=[[1.0, 0.0], [0.0, 2.0]]),
+    dict(objective=[1.0, 3.0]),
+    dict(hi=[5.0, math.inf]),
+], ids=["rows", "objective", "free-at-bound"])
+def test_warm_start_rejects_another_problem(changes):
+    # x1 ends at its bound 6, so it cannot lose that bound
+    parent = lp_solve(_two_var_problem(rhs=[4.0, 8.0]))
+    assert parent.x.tolist() == [4.0, 6.0]
+    with pytest.raises(LpError):
+        lp_solve(_two_var_problem(rhs=[4.0, 8.0], **changes), warm=parent)
+
+
+def test_warm_start_keeps_dropped_columns_dropped():
+    # a column the parent fixed at 0, left out of its tableau or fixed by a
+    # warm start, cannot come back; nor can a solve without a tableau start
+    dropped = lp_solve(_two_var_problem(hi=[0.0, 6.0]))
+    with pytest.raises(LpError):
+        lp_solve(_two_var_problem(), warm=dropped)
+    zeroed = lp_solve(_two_var_problem(hi=[5.0, 0.0]),
+                      warm=lp_solve(_two_var_problem()))
+    assert zeroed.x.tolist() == [4.0, 0.0]
+    with pytest.raises(LpError):
+        lp_solve(_two_var_problem(), warm=zeroed)
+    infeasible = lp_solve(_two_var_problem(rhs=[-1.0, 1.0]))
+    assert infeasible.status is LpStatus.INFEASIBLE
+    with pytest.raises(LpError):
+        lp_solve(_two_var_problem(), warm=infeasible)
+
+
+def test_warm_start_holds_a_basic_artificial_at_zero():
+    # x0 + x1 = 2 as the rows x0 + x1 <= 2, -x0 - x1 <= -2. Phase 1 drives
+    # row 1's artificial out on its own surplus column, the negative of the
+    # artificial's, so no solve keeps it basic; pivoting it back in on that
+    # row leaves the basis phase 1 would end with if it stayed
+    args = dict(objective=[1.0, 0.0], rows=[[1.0, 1.0], [-1.0, -1.0]],
+                rhs=[2.0, -2.0])
+    parent = lp_solve(LpProblem(**args))
+    assert parent.x.tolist() == [2.0, 0.0]
+    state = parent.tableau
+    art = state.tab.shape[1] - 2
+    [row] = np.flatnonzero(np.abs(state.tab[:-1, art]) > 0.5)
+    lp._pivot(state.tab, state.basis, int(row), art)
+    assert art in state.basis
+    # x0 + x1 <= 1 contradicts x0 + x1 >= 2: the artificial would soak up
+    # the gap unless the re-solve keeps it at 0
+    child = LpProblem(**{**args, "rhs": [1.0, -2.0]})
+    assert lp_solve(child).status is LpStatus.INFEASIBLE
+    assert lp_solve(child, warm=parent).status is LpStatus.INFEASIBLE
+    # a child that leaves the rows consistent is solved as before
+    child = LpProblem(**{**args, "rhs": [1.5, -1.5]})
+    sol = lp_solve(child, warm=parent)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.x.tolist() == [1.5, 0.0]

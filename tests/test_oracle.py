@@ -5,7 +5,7 @@ from itertools import count
 import numpy as np
 import pytest
 
-from lotflow import (Instance, OracleGuardError,
+from lotflow import (Instance, OracleGuardError, oracle,
                      check_feasibility, evaluate_plan, gen_random_small,
                      gen_table1, solve_exact, solve_frh)
 from lotflow.lp import LpStatus, lp_solve
@@ -168,6 +168,21 @@ class TestBranchAndBound:
         for sol in (enumerate_solve(inst), solve_exact(inst)):
             assert sol.objective == pytest.approx(-150.0)
             assert sol.degenerate
+
+    @pytest.mark.parametrize("inst", BB_DRAWS, ids=BB_IDS)
+    def test_one_cold_solve_per_pattern(self, inst, monkeypatch):
+        # every node below a pattern's root re-solves from its parent's
+        # tableau; a node solved cold again would show here
+        solves = []
+
+        def counted(prob, warm=None):
+            solves.append(warm is None)
+            return lp_solve(prob, warm=warm)
+
+        monkeypatch.setattr(oracle, "lp_solve", counted)
+        sol = solve_exact(inst)
+        assert sum(solves) == len(_delta_patterns(inst))
+        assert len(solves) == sol.lp_count
 
     def test_solves_fewer_lps_than_enumeration(self):
         inst = next(inst for inst in BB_DRAWS if inst.T == 8)

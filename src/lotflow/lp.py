@@ -1,4 +1,4 @@
-"""Dense linear programming by two-phase bounded-variable primal simplex.
+"""Dense linear programming by a bounded-variable simplex in two phases.
 
 One problem form: maximize over ``<=`` rows and boxes ``0 <= x <= hi``.
 Problems here are small (tens of variables), so a dense tableau is plenty.
@@ -8,16 +8,23 @@ Programming*, ch. 8): a nonbasic column sits at 0 or at its bound, and one
 at its bound is carried complemented, as ``hi_j - x_j``. A step either
 pivots or flips a column between its bounds, and
 ``LpSolution.iterations`` counts both. A column with ``hi == 0`` is pinned
-at zero and left out of the tableau. Pivoting uses Dantzig's rule and falls
-back to Bland's rule after 50 steps in a row that do not raise the
-objective, so that degenerate problems cannot cycle.
+at zero and left out of the tableau.
+
+A solve has two phases. Phase 1 makes a starting basis primal feasible by
+a bounded dual simplex (Koberstein 2005); phase 2 is the primal simplex. A
+cold solve starts from the slack basis under a zero cost row, for which
+every basis is dual feasible, so a negative right-hand side needs no
+artificial column. Phase 1 lets each basic variable lie up to ``1e-9``
+outside its box. Pivoting uses Dantzig's rule and falls back to Bland's
+rule after 50 steps in a row that do not move the objective, so that
+degenerate problems cannot cycle.
 
 An optimal solution keeps its final tableau, and ``lp_solve(child,
 warm=parent)`` re-solves a child problem from it: one with the parent's
 rows and objective, other right-hand sides and bounds (Land & Doig 1960).
-The parent's basis stays dual feasible, so a bounded dual simplex restores
-primal feasibility (Koberstein 2005) and the primal simplex then checks
-optimality, in a pivot or two where a cold solve takes a dozen.
+The parent's basis stays dual feasible, so phase 1 starts from it and
+phase 2 confirms optimality, in a pivot or two where a cold solve takes a
+dozen.
 """
 
 from __future__ import annotations
@@ -27,9 +34,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-
-# primal feasibility residual accepted on an Optimal result
-TOL_LP_FEAS = 1e-7
 
 _PIVOT_TOL = 1e-9
 
@@ -105,9 +109,9 @@ class Tableau:
     one, which a child re-solves from.
 
     ``tab`` has columns x (the problem's ``live`` columns) | one slack per
-    row | one artificial per row that phase 1 started on, then the rhs; its
-    last row is the cost row. Column j stands for ``ub[j] - x_j`` where
-    ``flipped[j]``, and only ``allowed`` columns may enter the basis.
+    row | rhs; its last row is the cost row. Column j stands for
+    ``ub[j] - x_j`` where ``flipped[j]``, and only ``allowed`` columns may
+    enter the basis.
     """
 
     prob: LpProblem
@@ -294,62 +298,42 @@ def _dual_simplex(tab: np.ndarray, basis: np.ndarray, ub: np.ndarray,
 
 
 def _cold_start(prob: LpProblem):
-    """Assemble the tableau and run phase 1; return (state, status, iters)."""
+    """Assemble the slack-basis tableau and make it primal feasible; return
+    (state, status, iters)."""
     # a column with hi == 0 stays at zero, so it never enters the tableau
     live = np.flatnonzero(prob.hi > 0)
     A, b = prob.rows[:, live], prob.rhs
     n, m = len(live), len(b)
-    # a row with a negative rhs is negated into a >= row, whose slack turns
-    # surplus and which starts basic on an artificial
-    neg = np.flatnonzero(b < 0)
-    side = np.where(b < 0, -1.0, 1.0)
 
-    # assemble: columns = x | one slack per row | one artificial per neg row | rhs
-    art_start = n + m
-    total = art_start + len(neg)
-    slack_cols = np.arange(n, art_start)
-    art_cols = np.arange(art_start, total)
-    tab = np.zeros((m + 1, total + 1))
-    tab[:m, :n] = side[:, None] * A
-    tab[:m, n:art_start] = np.diag(side)
-    tab[neg, art_cols] = 1.0
-    tab[:m, -1] = side * b
-    basis = slack_cols.copy()
-    basis[neg] = art_cols
-    ub = np.full(total, math.inf)
+    # assemble: columns = x | one slack per row | rhs, the slacks basic and
+    # the cost row zero
+    tab = np.zeros((m + 1, n + m + 1))
+    tab[:m, :n] = A
+    tab[:m, n : n + m] = np.eye(m)
+    tab[:m, -1] = b
+    basis = np.arange(n, n + m)
+    ub = np.full(n + m, math.inf)
     ub[:n] = prob.hi[live]
-    flipped = np.zeros(total, dtype=bool)
+    flipped = np.zeros(n + m, dtype=bool)
     state = Tableau(prob, live, tab, basis, ub, flipped,
-                    np.ones(total, dtype=bool))
+                    np.ones(n + m, dtype=bool))
     # views of the x columns' bounds and of which of them sit complemented
     hi, at_hi = ub[:n], flipped[:n]
 
     iters = 0
-    if len(neg):
-        # phase 1: minimize sum of artificials
-        tab[-1, art_start:total] = 1.0
-        for i in neg:
-            tab[-1] -= tab[i]
-        status, iters = _simplex_phase(tab, basis, ub, flipped, iters,
-                                       state.max_iterations, state.allowed)
-        if status == "iteration_limit":
+    if (b < 0).any():
+        # phase 1: under a zero cost row every basis is dual feasible, so
+        # the dual simplex pivots the negative slacks out. Every dual step
+        # then has ratio 0, so after 50 steps the stall counter hands the
+        # choice to Bland's rule, which cannot cycle.
+        status, iters = _dual_simplex(tab, basis, ub, flipped, state.allowed,
+                                      iters, state.max_iterations)
+        if status != "feasible":
             return state, status, iters
-        phase1 = -tab[-1, -1]
-        if phase1 > TOL_LP_FEAS:
-            return state, "infeasible", iters
-        # drive leftover artificials out of the basis
-        for i in range(m):
-            if basis[i] >= art_start:
-                pivots = np.where(np.abs(tab[i, :art_start]) > _PIVOT_TOL)[0]
-                if pivots.size:
-                    _pivot(tab, basis, i, int(pivots[0]))
-                    iters += 1
-        state.allowed[art_start:] = False
 
-    # phase 2: maximize obj -> minimize -obj; rebuild the cost row, where a
-    # flipped column hi_j - x_j carries +obj_j and adds obj_j hi_j
+    # phase 2: maximize obj -> minimize -obj; fill in the zero cost row,
+    # where a flipped column hi_j - x_j carries +obj_j and adds obj_j hi_j
     c = prob.objective[live]
-    tab[-1, :] = 0.0
     tab[-1, :n] = np.where(at_hi, c, -c)
     tab[-1, -1] = c[at_hi] @ hi[at_hi]
     # a basic column is a unit column, so clearing one leaves the others
@@ -375,8 +359,8 @@ def _warm_start(prob: LpProblem, parent: LpSolution):
     state = Tableau(prob, live, old.tab.copy(), old.basis.copy(),
                     old.ub.copy(), old.flipped.copy(), old.allowed.copy())
     tab, ub, flipped = state.tab, state.ub, state.flipped
-    # the slack block holds the basis inverse times the rows' signs, so it
-    # carries a change of the right-hand sides into the rhs column
+    # the slack block holds the basis inverse, so it carries a change of
+    # the right-hand sides into the rhs column
     tab[:, -1] += tab[:, n : n + m] @ (prob.rhs - old.prob.rhs)
     # a complemented column ub_j - x_j moves the rhs column with its bound
     moved = flipped[:n] & (hi != ub[:n])
@@ -385,9 +369,8 @@ def _warm_start(prob: LpProblem, parent: LpSolution):
             raise LpError("a warm start cannot free a column at its bound")
         tab[:, -1] += tab[:, :n][:, moved] @ (hi[moved] - ub[:n][moved])
     ub[:n] = hi
-    # a column fixed at 0 never enters; an artificial stays at 0
+    # a column fixed at 0 never enters
     state.allowed[:n] = hi > 0
-    ub[n + m :] = 0.0
     status, iters = _dual_simplex(tab, state.basis, ub, flipped, state.allowed,
                                   0, state.max_iterations)
     return state, status, iters

@@ -118,12 +118,6 @@ def _node_lp(root: LpProblem, inst: Instance, x: np.ndarray,
                      objective_offset=cap0[-1] - inst.B0)
 
 
-def _combo_lp(inst: Instance, x: np.ndarray, delta: np.ndarray,
-              k: int) -> LpProblem:
-    """The LP of the node (``k``, ``x``) of the survival pattern ``delta``."""
-    return _node_lp(_pattern_lp(inst, delta), inst, x, k)
-
-
 def _beats(bound: float, incumbent: float) -> bool:
     """Whether a node bound can still improve on the incumbent value."""
     if incumbent == -math.inf:

@@ -265,8 +265,9 @@ def random_one_form_lp(rng: np.random.Generator) -> LpProblem:
     Each variable gets ``hi = 0`` (a fixed-off column), a finite ``hi`` or
     ``hi = inf``; an uncapped variable has a negative objective coefficient,
     so the optimum stays finite. The first row is a covering row with a
-    negative rhs, which phase 1 must satisfy; the other rows pass through a
-    feasible anchor point.
+    negative rhs, which starts the slack basis infeasible, so phase 1's dual
+    simplex must pivot it feasible; the other rows pass through a feasible
+    anchor point.
     """
     n = int(rng.integers(2, 5))
     obj = rng.uniform(-3.0, 3.0, n)

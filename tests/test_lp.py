@@ -34,7 +34,8 @@ def test_equality_row():
 
 
 def test_geq_row_and_offset():
-    # x >= 4 is the row -x <= -4, whose negative rhs takes phase 1
+    # x >= 4 is the row -x <= -4, whose negative rhs sends the solve
+    # through the dual simplex of phase 1
     prob = LpProblem(objective=[-1.0], rows=[[-1.0]], rhs=[-4.0],
                      objective_offset=10.0)
     sol = lp_solve(prob)
@@ -332,22 +333,14 @@ def test_warm_start_keeps_dropped_columns_dropped():
         lp_solve(_two_var_problem(), warm=infeasible)
 
 
-def test_warm_start_holds_a_basic_artificial_at_zero():
-    # x0 + x1 = 2 as the rows x0 + x1 <= 2, -x0 - x1 <= -2. Phase 1 drives
-    # row 1's artificial out on its own surplus column, the negative of the
-    # artificial's, so no solve keeps it basic; pivoting it back in on that
-    # row leaves the basis phase 1 would end with if it stayed
+def test_warm_start_from_a_parent_that_took_phase_1():
+    # x0 + x1 = 2 as the rows x0 + x1 <= 2, -x0 - x1 <= -2: row 1's
+    # negative rhs sends the parent's cold solve through phase 1
     args = dict(objective=[1.0, 0.0], rows=[[1.0, 1.0], [-1.0, -1.0]],
                 rhs=[2.0, -2.0])
     parent = lp_solve(LpProblem(**args))
     assert parent.x.tolist() == [2.0, 0.0]
-    state = parent.tableau
-    art = state.tab.shape[1] - 2
-    [row] = np.flatnonzero(np.abs(state.tab[:-1, art]) > 0.5)
-    lp._pivot(state.tab, state.basis, int(row), art)
-    assert art in state.basis
-    # x0 + x1 <= 1 contradicts x0 + x1 >= 2: the artificial would soak up
-    # the gap unless the re-solve keeps it at 0
+    # x0 + x1 <= 1 contradicts x0 + x1 >= 2
     child = LpProblem(**{**args, "rhs": [1.0, -2.0]})
     assert lp_solve(child).status is LpStatus.INFEASIBLE
     assert lp_solve(child, warm=parent).status is LpStatus.INFEASIBLE
@@ -356,3 +349,16 @@ def test_warm_start_holds_a_basic_artificial_at_zero():
     sol = lp_solve(child, warm=parent)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.x.tolist() == [1.5, 0.0]
+
+
+def test_phase_1_adds_no_column():
+    # two negative-rhs rows and a column fixed at 0: phase 1 pivots on the
+    # slack basis itself, so the tableau stays x | one slack per row | rhs
+    prob = LpProblem(objective=[1.0, -1.0, 2.0],
+                     rows=[[1.0, 1.0, 0.0], [-1.0, 0.0, -1.0], [0.0, -1.0, -1.0]],
+                     rhs=[4.0, -1.0, -2.0], hi=[math.inf, 0.0, 5.0])
+    sol = lp_solve(prob)
+    assert sol.status is LpStatus.OPTIMAL
+    state = sol.tableau
+    assert state.live.tolist() == [0, 2]
+    assert state.tab.shape[1] == len(state.live) + len(prob.rhs) + 1

@@ -9,7 +9,7 @@ from lotflow import (Instance, OracleGuardError, oracle,
                      check_feasibility, evaluate_plan, gen_random_small,
                      gen_table1, solve_exact, solve_frh)
 from lotflow.lp import LpStatus, lp_solve
-from lotflow.oracle import _combo_lp, _delta_patterns, deviation
+from lotflow.oracle import _delta_patterns, _node_lp, _pattern_lp, deviation
 
 from helpers import enumerate_solve, equality_lp, milp_solve
 from test_acceptance import CAPITAL_POINTS
@@ -190,6 +190,11 @@ class TestBranchAndBound:
         assert sol.lp_count < 2 ** inst.T * len(_delta_patterns(inst))
 
 
+def node_lp(inst, x, delta, k):
+    """The LP of the search node (``k``, ``x``) of the survival pattern ``delta``."""
+    return _node_lp(_pattern_lp(inst, delta), inst, x, k)
+
+
 class TestNodeLp:
     """The oracle's node LP in (y, v) and the equality-form LP over
     (y, v, w, Ed, I, B) of the reference agree node for node."""
@@ -206,7 +211,7 @@ class TestNodeLp:
             nodes += [(int(rng.integers(1, T + 1)), rng.integers(0, 2, T))
                       for _ in range(5)]
             for k, x in nodes:
-                ours = lp_solve(_combo_lp(inst, x, delta, k))
+                ours = lp_solve(node_lp(inst, x, delta, k))
                 ref = lp_solve(equality_lp(inst, x, delta, k))
                 assert ours.status is ref.status, (k, x, delta)
                 if ref.status is LpStatus.OPTIMAL:
@@ -215,13 +220,14 @@ class TestNodeLp:
 
     def test_node_simplex_path(self):
         # pinned from a solve of a leaf with y2 fixed off (hi = 0) and two
-        # negative-rhs rows, so phase 1 runs: a change to the tableau or the
-        # pivot order shows here even where the optimum stays the same
+        # negative-rhs rows, so the dual simplex of phase 1 runs: a change
+        # to the tableau or the pivot order shows here even where the
+        # optimum stays the same
         inst = BB_DRAWS[7]
         assert BB_IDS[7] == "7-T2-b1-loan"
-        sol = lp_solve(_combo_lp(inst, np.array([1, 0]), np.array([1, 1]), 2))
+        sol = lp_solve(node_lp(inst, np.array([1, 0]), np.array([1, 1]), 2))
         assert sol.status is LpStatus.OPTIMAL
-        assert sol.iterations == 6
+        assert sol.iterations == 5
         assert sol.x.tolist() == [float.fromhex(h) for h in (
             "0x1.c35dae95d528ap+7", "0x0.0p+0", "0x1.940f6047c1aa6p+7",
             "0x1.7a7272709bf1cp+4")]
@@ -230,7 +236,7 @@ class TestNodeLp:
     def test_has_only_le_rows_over_two_columns_per_period(self):
         inst = next(inst for inst in BB_DRAWS if inst.T == 8)
         for delta in _delta_patterns(inst):
-            prob = _combo_lp(inst, np.zeros(8, dtype=int), delta, 0)
+            prob = node_lp(inst, np.zeros(8, dtype=int), delta, 0)
             assert prob.n_vars == 16
             assert prob.rows.shape == (5 * 8 - 1, 16)
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -18,9 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .frh import Solution, solve_frh
-from .generators import (Table2Config, Table5Config, gen_random_small,
-                         gen_table1, gen_table2, gen_table5, grid_table2,
-                         grid_table5, instance_filename)
+from .generators import (TABLE5_FACTORS, gen_table1, gen_table2, gen_table5,
+                         grid_table2, grid_table5, instance_filename)
 from .lp import LpError, LpNumericalError
 from .model import Instance, InputError, trajectory_to_csv
 from .oracle import MAX_T, OracleGuardError, relative_gap, solve_exact
@@ -32,9 +30,9 @@ EXIT_NUMERICAL = 4
 
 CAPITAL_SWEEP_BC = (50, 150, 200, 250, 300, 350, 400)
 INTEREST_SWEEP_R = (0.01, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30)
-# the factors of the Table-5 design, each at a low and a high level
-TABLE5_LEVELS = ("demand_fluc", "cost_fluc", "holding_fluc", "price_fluc",
-                 "capital_level", "rate_level", "beta_level")
+# the config grid and the instance generator of each benchmark scheme
+SCHEMES = {"table2": (grid_table2, gen_table2),
+           "table5": (grid_table5, gen_table5)}
 
 _DEV_TOL = 1e-6
 
@@ -52,7 +50,7 @@ class RunReport:
 
     def add(self, **kwargs):
         """Keep the row fields of ``kwargs``; a table5 row also keeps its levels."""
-        fields = self.ROW_FIELDS + (TABLE5_LEVELS if self.scheme == "table5" else ())
+        fields = self.ROW_FIELDS + (TABLE5_FACTORS if self.scheme == "table5" else ())
         self.rows.append({k: kwargs.get(k) for k in fields})
 
     def aggregate(self, group_key) -> list:
@@ -84,7 +82,7 @@ class RunReport:
         if self.scheme == "table2":
             return self.aggregate(lambda r: f"T={r['T']}")
         # table5: pivot per parameter level
-        return [agg for param in TABLE5_LEVELS
+        return [agg for param in TABLE5_FACTORS
                 for agg in self.aggregate(lambda r, p=param: f"{p}={r[p]}")]
 
     def write(self, out_dir: Path):
@@ -182,12 +180,8 @@ def _bench_one(idx: int, inst: Instance, cfg_fields: dict, run_oracle: bool,
 def cmd_bench(args) -> int:
     if args.max_cases is not None and args.max_cases < 1:
         raise InputError(f"--max-cases must be >= 1, got {args.max_cases}")
-    if args.scheme == "table2":
-        configs = grid_table2(args.seed)
-        gen = gen_table2
-    else:
-        configs = grid_table5(args.seed)
-        gen = gen_table5
+    make_grid, gen = SCHEMES[args.scheme]
+    configs = make_grid(args.seed)
     if args.max_cases is not None:
         configs = configs[: args.max_cases]
     report = RunReport(scheme=args.scheme)
@@ -209,8 +203,8 @@ def cmd_gen(args) -> int:
         (out / name).write_text(inst.to_json(), encoding="utf-8")
         written.append(name)
     else:
-        gen = gen_table2 if args.scheme == "table2" else gen_table5
-        grid = grid_table2(args.seed) if args.scheme == "table2" else grid_table5(args.seed)
+        make_grid, gen = SCHEMES[args.scheme]
+        grid = make_grid(args.seed)
         if not args.grid:
             if not 0 <= args.index < len(grid):
                 raise InputError(f"--index must lie in 0..{len(grid) - 1}, "
@@ -247,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("bench", help="run a benchmark grid")
-    sp.add_argument("--scheme", choices=("table2", "table5"), required=True)
+    sp.add_argument("--scheme", choices=tuple(SCHEMES), required=True)
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--oracle", action="store_true")
     sp.add_argument("--oracle-max-T", dest="oracle_max_T", type=int,
@@ -257,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_bench)
 
     sp = sub.add_parser("gen", help="emit instance JSON files")
-    sp.add_argument("--scheme", choices=("table1", "table2", "table5"),
-                    required=True)
+    sp.add_argument("--scheme", choices=("table1", *SCHEMES), required=True)
     sp.add_argument("--grid", action="store_true")
     sp.add_argument("--index", type=int, default=0)
     sp.add_argument("--seed", type=int, required=True)

@@ -9,7 +9,7 @@ factor never reshuffles the draws of another.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -25,6 +25,9 @@ TABLE2_LOAN = ("none", "loan")
 TABLE2_BETA = (0.0, 0.10, 0.50)
 
 _LEVELS = ("low", "high")
+# the factors of the Table-5 design, each at a low and a high level
+TABLE5_FACTORS = ("demand_fluc", "cost_fluc", "holding_fluc", "price_fluc",
+                  "capital_level", "rate_level", "beta_level")
 # seeds drawn for each factor combination of the Table-5 grid
 TABLE5_REPS = 10
 
@@ -98,8 +101,7 @@ class Table5Config:
     seed: int
 
     def __post_init__(self):
-        for name in ("demand_fluc", "cost_fluc", "holding_fluc", "price_fluc",
-                     "capital_level", "rate_level", "beta_level"):
+        for name in TABLE5_FACTORS:
             if getattr(self, name) not in _LEVELS:
                 raise ConfigError(f"{name} must be 'low' or 'high'")
 
@@ -197,7 +199,7 @@ def grid_table5(master_seed: int) -> list:
     """2^7 factor combinations x ``TABLE5_REPS`` seeds (1280 configs),
     ordered by factor combination then replicate."""
     configs = []
-    combos = product(_LEVELS, repeat=7)
+    combos = product(_LEVELS, repeat=len(TABLE5_FACTORS))
     for idx, levels in enumerate(combos):
         for rep in range(TABLE5_REPS):
             configs.append(Table5Config(*levels,

@@ -8,7 +8,7 @@ Programming*, ch. 8): a nonbasic column sits at 0 or at its bound, and one
 at its bound is carried complemented, as ``hi_j - x_j``. A step either
 pivots or flips a column between its bounds, and
 ``LpSolution.iterations`` counts both. A column with ``hi == 0`` is pinned
-at zero and left out of the tableau.
+at zero: it keeps its place in the tableau but never enters the basis.
 
 A solve has two phases. Phase 1 makes a starting basis primal feasible by
 a bounded dual simplex (Koberstein 2005); phase 2 is the primal simplex. A
@@ -24,7 +24,8 @@ warm=parent)`` re-solves a child problem from it: one with the parent's
 rows and objective, other right-hand sides and bounds (Land & Doig 1960).
 The parent's basis stays dual feasible, so phase 1 starts from it and
 phase 2 confirms optimality, in a pivot or two where a cold solve takes a
-dozen.
+dozen. A column that the child frees may price in and break that; phase 1
+then runs from the parent's basis under a zero cost row, as in a cold solve.
 """
 
 from __future__ import annotations
@@ -108,23 +109,20 @@ class Tableau:
     """The tableau state of a solve; an optimal solution keeps its final
     one, which a child re-solves from.
 
-    ``tab`` has columns x (the problem's ``live`` columns) | one slack per
-    row | rhs; its last row is the cost row. Column j stands for
-    ``ub[j] - x_j`` where ``flipped[j]``, and only ``allowed`` columns may
-    enter the basis.
+    ``tab`` has columns x | one slack per row | rhs; its last row is the
+    cost row. Column j stands for ``ub[j] - x_j`` where ``flipped[j]``, and
+    a column with ``ub[j] == 0`` never enters the basis.
     """
 
     prob: LpProblem
-    live: np.ndarray
     tab: np.ndarray
     basis: np.ndarray
     ub: np.ndarray
     flipped: np.ndarray
-    allowed: np.ndarray
 
     @property
     def max_iterations(self) -> int:
-        return 50 * (len(self.live) + len(self.basis) + 1)
+        return 50 * self.tab.shape[1]
 
 
 @dataclass
@@ -158,18 +156,18 @@ def _complement_row(tab: np.ndarray, ub: np.ndarray, flipped: np.ndarray,
 
 
 def _simplex_phase(tab: np.ndarray, basis: np.ndarray, ub: np.ndarray,
-                   flipped: np.ndarray, iters: int, max_iters: int,
-                   allowed_cols: np.ndarray):
+                   flipped: np.ndarray, iters: int, max_iters: int):
     """Run simplex iterations on a tableau whose last row is the cost row.
 
     Column j stands for x_j, or for ``ub[j] - x_j`` where ``flipped[j]``;
     either way its variable lies in [0, ub[j]]. An iteration either pivots
     or, when the entering column reaches its own bound first, flips that
-    column. Returns (status_str, iterations) with status in
-    {"optimal", "unbounded", "iteration_limit"}.
+    column. Returns (status, iterations): OPTIMAL, UNBOUNDED, or
+    NUMERICAL_FAILURE at the iteration limit or on NaN ratios.
     """
     m = tab.shape[0] - 1
     rhs = tab[:m, -1]
+    allowed = ub > 0
     bounded = np.isfinite(ub)
     # without a finite bound no basic variable can rise to one
     any_bounded = bool(bounded.any())
@@ -179,11 +177,11 @@ def _simplex_phase(tab: np.ndarray, basis: np.ndarray, ub: np.ndarray,
     last_obj = tab[-1, -1]
     while True:
         cost = tab[-1, :-1]
-        candidates = ((cost < -_PIVOT_TOL) & allowed_cols).nonzero()[0]
+        candidates = ((cost < -_PIVOT_TOL) & allowed).nonzero()[0]
         if candidates.size == 0:
-            return "optimal", iters
+            return LpStatus.OPTIMAL, iters
         if iters >= max_iters:
-            return "iteration_limit", iters
+            return LpStatus.NUMERICAL_FAILURE, iters
         if use_bland:
             col = int(candidates[0])
         else:
@@ -203,7 +201,7 @@ def _simplex_phase(tab: np.ndarray, basis: np.ndarray, ub: np.ndarray,
         best = ratios.min() if rows.size else math.inf
         if step <= best:
             if step == math.inf:
-                return "unbounded", iters
+                return LpStatus.UNBOUNDED, iters
             # the entering column reaches its own bound first: flip it
             tab[:, -1] -= step * tab[:, col]
             tab[:, col] *= -1.0
@@ -212,7 +210,7 @@ def _simplex_phase(tab: np.ndarray, basis: np.ndarray, ub: np.ndarray,
             ties = rows[ratios <= best + 1e-12]
             if ties.size == 0:
                 # only NaN ratios leave no row to pivot out
-                return "iteration_limit", iters
+                return LpStatus.NUMERICAL_FAILURE, iters
             if use_bland:
                 row = int(ties[np.argmin(basis[ties])])
             else:
@@ -238,8 +236,7 @@ def _simplex_phase(tab: np.ndarray, basis: np.ndarray, ub: np.ndarray,
 
 
 def _dual_simplex(tab: np.ndarray, basis: np.ndarray, ub: np.ndarray,
-                  flipped: np.ndarray, allowed: np.ndarray, iters: int,
-                  max_iters: int):
+                  flipped: np.ndarray, iters: int, max_iters: int):
     """Pivot a dual feasible tableau until its basic variables are in bounds.
 
     Each step takes the basic variable furthest outside [0, ub] out of the
@@ -247,11 +244,15 @@ def _dual_simplex(tab: np.ndarray, basis: np.ndarray, ub: np.ndarray,
     complemented first, as in :func:`_simplex_phase`. The entering column
     keeps the cost row nonnegative. Dantzig's rule gives way to Bland's
     after 50 steps in a row that leave the cost row where it was. Returns
-    (status_str, iterations) with status in {"feasible", "infeasible",
-    "iteration_limit"}.
+    (status, iterations), where status is None once every basic variable is
+    in bounds, else INFEASIBLE or NUMERICAL_FAILURE.
     """
     m = tab.shape[0] - 1
+    if m == 0:
+        # no row, so no basic variable to put in bounds
+        return None, iters
     rhs = tab[:m, -1]
+    allowed = ub > 0
     stall = 0
     use_bland = False
     while True:
@@ -261,11 +262,11 @@ def _dual_simplex(tab: np.ndarray, basis: np.ndarray, ub: np.ndarray,
         row = int(violation.argmax())
         worst = violation[row]
         if math.isnan(worst):
-            return "iteration_limit", iters
+            return LpStatus.NUMERICAL_FAILURE, iters
         if worst <= _PIVOT_TOL:
-            return "feasible", iters
+            return None, iters
         if iters >= max_iters:
-            return "iteration_limit", iters
+            return LpStatus.NUMERICAL_FAILURE, iters
         if use_bland:
             out = (violation > _PIVOT_TOL).nonzero()[0]
             row = int(out[np.argmin(basis[out])])
@@ -278,7 +279,7 @@ def _dual_simplex(tab: np.ndarray, basis: np.ndarray, ub: np.ndarray,
         if cols.size == 0:
             # no column can raise the basic variable: its row has no
             # solution within the bounds
-            return "infeasible", iters
+            return LpStatus.INFEASIBLE, iters
         ratios = tab[-1, cols] / -rowvec[cols]
         best = ratios.min()
         ties = cols[ratios <= best + 1e-12]
@@ -297,71 +298,45 @@ def _dual_simplex(tab: np.ndarray, basis: np.ndarray, ub: np.ndarray,
             stall = 0
 
 
-def _cold_start(prob: LpProblem):
-    """Assemble the slack-basis tableau and make it primal feasible; return
-    (state, status, iters)."""
-    # a column with hi == 0 stays at zero, so it never enters the tableau
-    live = np.flatnonzero(prob.hi > 0)
-    A, b = prob.rows[:, live], prob.rhs
-    n, m = len(live), len(b)
-
-    # assemble: columns = x | one slack per row | rhs, the slacks basic and
-    # the cost row zero
+def _cold_start(prob: LpProblem) -> Tableau:
+    """The slack-basis tableau of ``prob``, under a zero cost row."""
+    n, m = prob.n_vars, len(prob.rhs)
+    # columns = x | one slack per row | rhs, the slacks basic
     tab = np.zeros((m + 1, n + m + 1))
-    tab[:m, :n] = A
+    tab[:m, :n] = prob.rows
     tab[:m, n : n + m] = np.eye(m)
-    tab[:m, -1] = b
-    basis = np.arange(n, n + m)
+    tab[:m, -1] = prob.rhs
     ub = np.full(n + m, math.inf)
-    ub[:n] = prob.hi[live]
-    flipped = np.zeros(n + m, dtype=bool)
-    state = Tableau(prob, live, tab, basis, ub, flipped,
-                    np.ones(n + m, dtype=bool))
-    # views of the x columns' bounds and of which of them sit complemented
-    hi, at_hi = ub[:n], flipped[:n]
-
-    iters = 0
-    if (b < 0).any():
-        # phase 1: under a zero cost row every basis is dual feasible, so
-        # the dual simplex pivots the negative slacks out. Every dual step
-        # then has ratio 0, so after 50 steps the stall counter hands the
-        # choice to Bland's rule, which cannot cycle.
-        status, iters = _dual_simplex(tab, basis, ub, flipped, state.allowed,
-                                      iters, state.max_iterations)
-        if status != "feasible":
-            return state, status, iters
-
-    # phase 2: maximize obj -> minimize -obj; fill in the zero cost row,
-    # where a flipped column hi_j - x_j carries +obj_j and adds obj_j hi_j
-    c = prob.objective[live]
-    tab[-1, :n] = np.where(at_hi, c, -c)
-    tab[-1, -1] = c[at_hi] @ hi[at_hi]
-    # a basic column is a unit column, so clearing one leaves the others
-    for i in (np.abs(tab[-1, basis]) > 0).nonzero()[0]:
-        tab[-1] -= tab[-1, basis[i]] * tab[i]
-    return state, "feasible", iters
+    ub[:n] = prob.hi
+    return Tableau(prob, tab, np.arange(n, n + m), ub,
+                   np.zeros(n + m, dtype=bool))
 
 
-def _warm_start(prob: LpProblem, parent: LpSolution):
-    """Move a parent's final tableau to ``prob`` and restore primal
-    feasibility; return (state, status, iters)."""
+def _warm_start(prob: LpProblem, parent: LpSolution) -> Tableau:
+    """A parent's final tableau, moved to the right-hand sides and bounds
+    of ``prob``."""
     old = parent.tableau
     if old is None:
         raise LpError("a warm start needs an optimal parent solution")
     if not (np.array_equal(prob.rows, old.prob.rows)
             and np.array_equal(prob.objective, old.prob.objective)):
         raise LpError("a warm start needs the parent's rows and objective")
-    if (prob.hi[old.prob.hi == 0] > 0).any():
-        raise LpError("a warm start cannot free a column the parent fixed at 0")
-    live = old.live
-    n, m = len(live), len(prob.rhs)
-    hi = prob.hi[live]
-    state = Tableau(prob, live, old.tab.copy(), old.basis.copy(),
-                    old.ub.copy(), old.flipped.copy(), old.allowed.copy())
+    n, m = prob.n_vars, len(prob.rhs)
+    hi = prob.hi
+    state = Tableau(prob, old.tab.copy(), old.basis.copy(), old.ub.copy(),
+                    old.flipped.copy())
     tab, ub, flipped = state.tab, state.ub, state.flipped
     # the slack block holds the basis inverse, so it carries a change of
     # the right-hand sides into the rhs column
     tab[:, -1] += tab[:, n : n + m] @ (prob.rhs - old.prob.rhs)
+    # a column pinned at 0 stands for x_j or 0 - x_j alike, so one that the
+    # child frees turns back to x_j and stays at 0: its column changes sign,
+    # and so does the row it is basic in
+    back = np.flatnonzero(flipped[:n] & (ub[:n] == 0) & (hi > 0))
+    if back.size:
+        tab[:, back] *= -1.0
+        tab[:m][np.isin(state.basis, back)] *= -1.0
+        flipped[back] = False
     # a complemented column ub_j - x_j moves the rhs column with its bound
     moved = flipped[:n] & (hi != ub[:n])
     if moved.any():
@@ -369,11 +344,20 @@ def _warm_start(prob: LpProblem, parent: LpSolution):
             raise LpError("a warm start cannot free a column at its bound")
         tab[:, -1] += tab[:, :n][:, moved] @ (hi[moved] - ub[:n][moved])
     ub[:n] = hi
-    # a column fixed at 0 never enters
-    state.allowed[:n] = hi > 0
-    status, iters = _dual_simplex(tab, state.basis, ub, flipped, state.allowed,
-                                  0, state.max_iterations)
-    return state, status, iters
+    return state
+
+
+def _price(state: Tableau):
+    """Fill in the phase-2 cost row over a zero one: maximize obj ->
+    minimize -obj, where a flipped column hi_j - x_j carries +obj_j and
+    adds obj_j hi_j."""
+    tab, basis, n = state.tab, state.basis, state.prob.n_vars
+    c, hi, at_hi = state.prob.objective, state.ub[:n], state.flipped[:n]
+    tab[-1, :n] = np.where(at_hi, c, -c)
+    tab[-1, -1] = c[at_hi] @ hi[at_hi]
+    # a basic column is a unit column, so clearing one leaves the others
+    for i in (np.abs(tab[-1, basis]) > 0).nonzero()[0]:
+        tab[-1] -= tab[-1, basis[i]] * tab[i]
 
 
 def lp_solve(prob: LpProblem, warm: LpSolution | None = None) -> LpSolution:
@@ -381,36 +365,41 @@ def lp_solve(prob: LpProblem, warm: LpSolution | None = None) -> LpSolution:
 
     ``warm`` is an optimal solution of a parent problem with the same rows
     and objective; the solve then starts from its final tableau. The child
-    may change any right-hand side and bound, except that a column the
-    parent fixed at 0 stays there and one at a finite bound keeps a finite
-    bound. Otherwise :class:`LpError` is raised.
+    may change any right-hand side and bound, except that a column at a
+    finite bound keeps a finite bound. Otherwise :class:`LpError` is
+    raised. A solve reports NUMERICAL_FAILURE after 50 iterations per
+    tableau column, a pinned column included.
     """
     if (prob.hi < 0).any():
         return LpSolution(LpStatus.INFEASIBLE)
     if warm is None:
-        state, status, iters = _cold_start(prob)
+        state, priced = _cold_start(prob), False
     else:
-        state, status, iters = _warm_start(prob, warm)
-    if status == "iteration_limit":
-        return LpSolution(LpStatus.NUMERICAL_FAILURE, iterations=iters)
-    if status == "infeasible":
-        return LpSolution(LpStatus.INFEASIBLE, iterations=iters)
+        state = _warm_start(prob, warm)
+        # the parent's cost row stays dual feasible unless a column that
+        # the child frees prices in
+        priced = not ((state.tab[-1, :-1] < -_PIVOT_TOL) & (state.ub > 0)).any()
     tab, basis, ub, flipped = state.tab, state.basis, state.ub, state.flipped
-    n, m = len(state.live), len(prob.rhs)
-    status, iters = _simplex_phase(tab, basis, ub, flipped, iters,
-                                   state.max_iterations, state.allowed)
-    if status == "iteration_limit":
-        return LpSolution(LpStatus.NUMERICAL_FAILURE, iterations=iters)
-    if status == "unbounded":
-        return LpSolution(LpStatus.UNBOUNDED, iterations=iters)
+    if not priced:
+        # phase 1 under a zero cost row, for which every basis is dual
+        # feasible. Every dual step then has ratio 0, so after 50 steps the
+        # stall counter hands the choice to Bland's rule, which cannot cycle.
+        tab[-1] = 0.0
+    status, iters = _dual_simplex(tab, basis, ub, flipped, 0,
+                                  state.max_iterations)
+    if status is None:
+        if not priced:
+            _price(state)
+        status, iters = _simplex_phase(tab, basis, ub, flipped, iters,
+                                       state.max_iterations)
+    if status is not LpStatus.OPTIMAL:
+        return LpSolution(status, iterations=iters)
 
+    n, m = prob.n_vars, len(prob.rhs)
     values = np.zeros(len(ub))
     values[basis] = tab[:m, -1]
-    values = values[:n]
-    hi, at_hi = ub[:n], flipped[:n]
-    x = np.zeros(prob.n_vars)
     # adding 0.0 turns a -0.0 that pivoting can leave in the rhs into 0.0
-    x[state.live] = np.where(at_hi, hi - values, values) + 0.0
+    x = np.where(flipped[:n], ub[:n] - values[:n], values[:n]) + 0.0
     value = float(prob.objective @ x) + prob.objective_offset
     return LpSolution(LpStatus.OPTIMAL, x=x, objective_value=value,
                       iterations=iters, tableau=state)

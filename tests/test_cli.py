@@ -233,13 +233,14 @@ class TestBench:
         rows = list(csv.DictReader((out / "report.csv").open(encoding="utf-8")))
         assert all(r["oracle_objective"] in ("", None) for r in rows)
         # a table5 row carries its factor levels, and the summary pivots on them
-        from lotflow.cli import TABLE5_LEVELS, RunReport
-        assert list(rows[0]) == list(RunReport.ROW_FIELDS + TABLE5_LEVELS)
+        from lotflow.cli import RunReport
+        from lotflow.generators import TABLE5_FACTORS
+        assert list(rows[0]) == list(RunReport.ROW_FIELDS + TABLE5_FACTORS)
         summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
-        cases = dict.fromkeys(TABLE5_LEVELS, 0)
+        cases = dict.fromkeys(TABLE5_FACTORS, 0)
         for cell in summary["pivot"]:
             cases[cell["group"].split("=")[0]] += cell["cases"]
-        assert cases == dict.fromkeys(TABLE5_LEVELS, len(rows))
+        assert cases == dict.fromkeys(TABLE5_FACTORS, len(rows))
 
     def test_bench_row_includes_oracle_when_small(self):
         from lotflow import gen_random_small

@@ -112,9 +112,8 @@ def test_ratio_tie_takes_the_largest_pivot():
                     [-1.0, 0.0, 0.0, 0.0]])
     basis = np.array([1, 2])
     status, iters = lp._simplex_phase(tab, basis, np.full(3, math.inf),
-                                      np.zeros(3, dtype=bool), 0, 1,
-                                      np.ones(3, dtype=bool))
-    assert (status, iters) == ("optimal", 1)
+                                      np.zeros(3, dtype=bool), 0, 1)
+    assert (status, iters) == (LpStatus.OPTIMAL, 1)
     assert basis.tolist() == [1, 0]
 
 
@@ -243,12 +242,17 @@ def test_status_families():
         assert lp_solve(random_unbounded_lp(rng)).status is LpStatus.UNBOUNDED
 
 
-def _child(prob, rng):
-    """A child of ``prob``: some right-hand sides lowered, some bound zeroed."""
+def _child(prob, rng, root_hi):
+    """A child of ``prob``: some right-hand sides lowered, some bound zeroed
+    or a zeroed one restored to its bound ``root_hi`` in the first problem."""
     rhs = prob.rhs - np.where(rng.random(prob.rhs.size) < 0.5,
                               rng.uniform(0.0, 3.0, prob.rhs.size), 0.0)
     hi = prob.hi.copy()
-    if rng.random() < 0.5:
+    zeroed = np.flatnonzero((hi == 0) & (root_hi > 0))
+    if zeroed.size and rng.random() < 0.5:
+        j = zeroed[rng.integers(0, zeroed.size)]
+        hi[j] = root_hi[j]
+    elif rng.random() < 0.5:
         hi[int(rng.integers(0, prob.n_vars))] = 0.0
     return LpProblem(objective=prob.objective, rows=prob.rows, rhs=rhs, hi=hi,
                      objective_offset=prob.objective_offset)
@@ -256,18 +260,22 @@ def _child(prob, rng):
 
 def test_warm_children_match_cold_solves():
     # chains of children, each re-solved from its parent's final tableau,
-    # agree with a cold solve of the same child, infeasible ones included
+    # agree with a cold solve of the same child, infeasible ones and ones
+    # that free a column their parent pinned included
     rng = np.random.default_rng(23)
     statuses = []
+    freed = 0
     for _ in range(60):
         parent = random_one_form_lp(rng)
         parent_sol = lp_solve(parent)
         assert parent_sol.status is LpStatus.OPTIMAL
+        root_hi = parent.hi
         for _ in range(4):
-            child = _child(parent, rng)
+            child = _child(parent, rng, root_hi)
             warm = lp_solve(child, warm=parent_sol)
             cold = lp_solve(child)
             statuses.append(cold.status)
+            freed += bool((child.hi[parent.hi == 0] > 0).any())
             assert warm.status is cold.status
             if cold.status is not LpStatus.OPTIMAL:
                 break
@@ -278,6 +286,7 @@ def test_warm_children_match_cold_solves():
             parent, parent_sol = child, warm
     assert LpStatus.INFEASIBLE in statuses
     assert statuses.count(LpStatus.OPTIMAL) > 100
+    assert freed >= 5
 
 
 @pytest.mark.parametrize("changes, pivot, x, value", [
@@ -316,21 +325,40 @@ def test_warm_start_rejects_another_problem(changes):
         lp_solve(_two_var_problem(rhs=[4.0, 8.0], **changes), warm=parent)
 
 
-def test_warm_start_keeps_dropped_columns_dropped():
-    # a column the parent fixed at 0, left out of its tableau or fixed by a
-    # warm start, cannot come back; nor can a solve without a tableau start
-    dropped = lp_solve(_two_var_problem(hi=[0.0, 6.0]))
-    with pytest.raises(LpError):
-        lp_solve(_two_var_problem(), warm=dropped)
-    zeroed = lp_solve(_two_var_problem(hi=[5.0, 0.0]),
+def test_warm_start_frees_a_column_its_parent_pinned():
+    # x0 pinned at 0 by a cold solve, and x0 pinned by a warm start after it
+    # left the basis above its new bound, come back in a child and reach the
+    # cold solve's answer; a solve without a tableau cannot start a child
+    pinned = lp_solve(_two_var_problem(hi=[0.0, 6.0]))
+    assert pinned.x.tolist() == [0.0, 1.0]
+    zeroed = lp_solve(_two_var_problem(hi=[0.0, 6.0]),
                       warm=lp_solve(_two_var_problem()))
-    assert zeroed.x.tolist() == [4.0, 0.0]
-    with pytest.raises(LpError):
-        lp_solve(_two_var_problem(), warm=zeroed)
+    assert zeroed.x.tolist() == [0.0, 1.0]
+    assert zeroed.tableau.flipped[0]
+    for hi in ([5.0, 6.0], [math.inf, 6.0]):
+        cold = lp_solve(_two_var_problem(hi=hi))
+        assert cold.x.tolist() == [4.0, 1.0]
+        for parent in (pinned, zeroed):
+            warm = lp_solve(_two_var_problem(hi=hi), warm=parent)
+            assert warm.status is LpStatus.OPTIMAL
+            assert warm.x.tolist() == cold.x.tolist()
+            assert warm.objective_value == cold.objective_value
     infeasible = lp_solve(_two_var_problem(rhs=[-1.0, 1.0]))
     assert infeasible.status is LpStatus.INFEASIBLE
     with pytest.raises(LpError):
         lp_solve(_two_var_problem(), warm=infeasible)
+
+
+def test_warm_start_without_rows():
+    # max x over 0 <= x <= 4: no row, so phase 1 has nothing to pivot
+    parent = lp_solve(LpProblem(objective=[1.0], rows=np.zeros((0, 1)),
+                                rhs=[], hi=[5.0]))
+    assert parent.x.tolist() == [5.0]
+    child = LpProblem(objective=[1.0], rows=np.zeros((0, 1)), rhs=[], hi=[4.0])
+    cold = lp_solve(child)
+    warm = lp_solve(child, warm=parent)
+    assert (cold.status, warm.status) == (LpStatus.OPTIMAL, LpStatus.OPTIMAL)
+    assert cold.x.tolist() == warm.x.tolist() == [4.0]
 
 
 def test_warm_start_from_a_parent_that_took_phase_1():
@@ -360,5 +388,7 @@ def test_phase_1_adds_no_column():
     sol = lp_solve(prob)
     assert sol.status is LpStatus.OPTIMAL
     state = sol.tableau
-    assert state.live.tolist() == [0, 2]
-    assert state.tab.shape[1] == len(state.live) + len(prob.rhs) + 1
+    assert state.tab.shape[1] == prob.n_vars + len(prob.rhs) + 1
+    # the pinned x1 keeps its column but never enters
+    assert 1 not in state.basis
+    assert sol.x[1] == 0.0

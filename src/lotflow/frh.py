@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,32 +42,17 @@ class Solution:
         }
 
 
-class _Prefix:
+class _Prefix(NamedTuple):
     """Committed plan through some period, with its trajectory to period T.
 
-    A round m..n replaces a base prefix from period m on, so the new
-    prefix's trajectory copies the base's before m and is evaluated from m.
-    ``checked`` is the last period through which the trajectory is known to
-    pass :func:`check_feasibility`; a prefix built on a base checked through
-    m - 1 needs a check of periods m..n only. Never mutated once built, so
-    several periods may share one prefix.
+    The plan is zero after that period. A round m..n replaces a base prefix
+    from period m on, so the new prefix's trajectory copies the base's
+    before m and is evaluated, and checked, from m. Several periods may
+    share one prefix.
     """
 
-    __slots__ = ("traj", "last_round", "checked")
-
-    def __init__(self, traj: Trajectory, last_round, checked: int):
-        self.traj = traj
-        self.last_round = last_round  # (cycle_starts tuple, end period) or None
-        self.checked = checked
-
-    def check_start(self, m: int) -> int:
-        """First period to check on a prefix that changes this one from m."""
-        return m if self.checked >= m - 1 else 1
-
-    def last_cycle(self) -> int | None:
-        if self.last_round is None:
-            return None
-        return self.last_round[0][-1]
+    traj: Trajectory
+    last_round: tuple | None  # (cycle_starts tuple, end period)
 
 
 def _spec(traj: Trajectory, starts: tuple, n: int) -> RoundSpec:
@@ -83,14 +69,11 @@ def _spec(traj: Trajectory, starts: tuple, n: int) -> RoundSpec:
 
 
 def _splice(base: _Prefix, round_sol: RoundSolution, spec: RoundSpec):
-    """The base plan before the round, the round, then nothing."""
+    """The base plan before the round, then the round."""
     y = base.traj.plan.y.copy()
     v = base.traj.plan.v.copy()
-    lo, hi = spec.m - 1, spec.n
-    y[lo:hi] = round_sol.y
-    v[lo:hi] = round_sol.v
-    y[hi:] = 0.0
-    v[hi:] = 0.0
+    y[spec.m - 1 : spec.n] = round_sol.y
+    v[spec.m - 1 : spec.n] = round_sol.v
     return y, v
 
 
@@ -98,11 +81,12 @@ class _Frh:
     def __init__(self, inst: Instance):
         self.inst = inst
         self.prefixes: list[_Prefix] = [
-            _Prefix(evaluate_plan(inst, Plan.null(inst.T)), None, checked=0)
+            _Prefix(evaluate_plan(inst, Plan.null(inst.T)), None)
         ]
         self.lp_count = 0
         self.adjustments: list = []
-        self.degenerate = False
+        # periods committed without a candidate that passes its check
+        self.degenerate: set[int] = set()
 
     def _round_candidate(self, base: _Prefix, spec: RoundSpec, n: int,
                          w_cap: float | None = None):
@@ -118,9 +102,9 @@ class _Frh:
         y, v = _splice(base, sol, spec)
         traj = evaluate_plan(self.inst, Plan(y, v), base.traj, spec.m)
         if not check_feasibility(self.inst, traj, up_to=n,
-                                 start=base.check_start(spec.m)).feasible:
+                                 start=spec.m).feasible:
             return None
-        return _Prefix(traj, (spec.cycle_starts, n), checked=n)
+        return _Prefix(traj, (spec.cycle_starts, n))
 
     def step(self, n: int):
         """Commit the best plan through period n (recursion Steps 1-2)."""
@@ -128,18 +112,19 @@ class _Frh:
         candidates: list[tuple[float, float, _Prefix]] = []
 
         prev = self.prefixes[n - 1]
-        if check_feasibility(inst, prev.traj, up_to=n,
-                             start=prev.check_start(n)).feasible:
+        if check_feasibility(inst, prev.traj, up_to=n, start=n).feasible:
             # idle period: demand in n is fully lost, capital carries over
-            idle = _Prefix(prev.traj, prev.last_round, checked=n)
-            candidates.append((float(prev.traj.B[n]), math.inf, idle))
+            candidates.append((float(prev.traj.B[n]), math.inf, prev))
 
         for m in range(1, n + 1):
+            if m - 1 in self.degenerate:
+                # every candidate on this base copies its capital shortfall
+                continue
             base = self.prefixes[m - 1]
             # with goodwill loss a round re-optimizes the base's last cycle
             # together with the new one against the lost-sales carryover
-            last = base.last_cycle()
-            starts = (last, m) if inst.beta != 0 and last is not None else (m,)
+            starts = ((base.last_round[0][-1], m)
+                      if inst.beta != 0 and base.last_round else (m,))
             pref = self._round_candidate(base, _spec(base.traj, starts, n), n)
             if pref is not None:
                 candidates.append((float(pref.traj.B[n]), float(m), pref))
@@ -148,7 +133,7 @@ class _Frh:
             # even idling violates capital nonnegativity (loan repayment due);
             # commit the idle plan anyway, unchecked through n, and flag the
             # run degenerate
-            self.degenerate = True
+            self.degenerate.add(n)
             self.prefixes.append(prev)
             return
 
@@ -211,7 +196,7 @@ class _Frh:
         return Solution(trajectory=traj, objective=traj.objective,
                         lp_count=self.lp_count,
                         adjustments=list(self.adjustments),
-                        degenerate=self.degenerate)
+                        degenerate=bool(self.degenerate))
 
 
 def recurse(inst: Instance) -> Solution:

@@ -262,15 +262,14 @@ def evaluate_plan(inst: Instance, plan: Plan, base: Trajectory | None = None,
                       objective=float(B[T] - inst.B0))
 
 
-def demand_affine(inst: Instance, m: int, n: int, w_in: float, deltas=None):
+def demand_affine(inst: Instance, m: int, n: int, w_in: float, deltas):
     """Effective demand of periods m..n as ``ed @ v + ed0``, and the shrink.
 
     ``v`` holds the realized demands of the window (local index 0..n-m) and
     ``w_in`` the lost sales of period m - 1. The shrink ``shrink @ v +
     shrink0`` is ``d_t - beta * w_{t-1}``, the effective demand of a
-    surviving period (row 0, period m, is left zero). Without ``deltas``
-    every period survives; with ``deltas`` the flagged-dead periods are
-    pinned to zero.
+    surviving period (row 0, period m, is left zero). The periods that
+    ``deltas`` flags dead have effective demand zero.
     """
     L = n - m + 1
     beta = inst.beta
@@ -283,9 +282,25 @@ def demand_affine(inst: Instance, m: int, n: int, w_in: float, deltas=None):
         shrink[k] = -beta * ed[k - 1]
         shrink[k, k - 1] += beta
         shrink0[k] = d[k] - beta * ed0[k - 1]
-        if deltas is None or deltas[k] != 0:
+        if deltas[k] != 0:
             ed[k], ed0[k] = shrink[k], shrink0[k]
     return ed, ed0, shrink, shrink0
+
+
+def goodwill_rows(ed, ed0, shrink, shrink0, deltas, strict: float = 0.0):
+    """The goodwill constraints over ``v`` as ``rows @ v <= rhs`` and ``v <= hi``.
+
+    Takes the output of :func:`demand_affine`. ``v <= Ed`` is a row where
+    the effective demand depends on ``v`` and the bound ``hi`` where it is a
+    constant (Dantzig's upper-bounding rule). A period that ``deltas`` flags
+    dead adds the row ``shrink <= -strict``; a surviving one adds none,
+    since ``0 <= v <= Ed`` already keeps its shrink nonnegative.
+    """
+    live = ed.any(axis=1)
+    dead = np.flatnonzero(deltas[1:] == 0) + 1
+    rows = np.vstack([(np.eye(len(ed)) - ed)[live], shrink[dead]])
+    rhs = np.concatenate([ed0[live], -strict - shrink0[dead]])
+    return rows, rhs, np.where(live, math.inf, ed0)
 
 
 def capital_affine(inst: Instance, m: int, Y: np.ndarray, V: np.ndarray,

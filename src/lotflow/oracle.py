@@ -11,11 +11,14 @@ completion of the node and its optimum bounds them from above. Every LP is
 in the production and realized demands (y, v) alone: with the setups and
 the survival pattern fixed, effective demand, inventory and capital are
 affine in them (``model.demand_affine`` and ``model.capital_affine``), so
-every row is a ``<=`` row and no big-M constants appear anywhere. A
-pattern's rows and objective are built once: from node to node only the
-setup terms of the capital right-hand sides and the ``y`` bounds change. So
-only a pattern's root LP is solved cold, and every other node re-solves from
-its parent's final tableau (``lp_solve(..., warm=parent)``).
+every row is a ``<=`` row and no big-M constants appear anywhere. The
+goodwill constraints are those of ``model.goodwill_rows``: a constant
+effective demand is its ``v``'s bound, and only a dead period adds a
+survival row. A pattern's rows and objective are built once: from node to
+node only the setup terms of the capital right-hand sides and the ``y``
+bounds change. So only a pattern's root LP is solved cold, and every other
+node re-solves from its parent's final tableau (``lp_solve(...,
+warm=parent)``).
 
 A node is pruned when its LP is infeasible or its bound cannot beat the
 incumbent. When no undecided period produces in a node's optimum, the
@@ -33,7 +36,8 @@ import numpy as np
 from .frh import Solution, solve_frh
 from .lp import LpProblem, LpStatus, LpNumericalError, lp_solve
 from .model import (Instance, Plan, capital_affine, capital_offsets,
-                    check_feasibility, demand_affine, evaluate_plan)
+                    check_feasibility, demand_affine, evaluate_plan,
+                    goodwill_rows)
 
 
 class OracleGuardError(ValueError):
@@ -83,19 +87,17 @@ def _pattern_lp(inst: Instance, delta: np.ndarray) -> LpProblem:
     Y, V = np.eye(T, 2 * T), np.eye(T, 2 * T, T)
     cap, cap0, need, need0 = capital_affine(inst, 1, Y, V, np.zeros(T, dtype=int),
                                             inst.B0)
-    ed, ed0, shrink, shrink0 = demand_affine(inst, 1, T, 0.0, delta)
-    # a surviving period's shrink stays nonnegative, a dead one's does not
-    # exceed zero; period 1 always survives and has no lost sales before it
-    side = np.where(delta[1:] == 1, -1.0, 1.0)
+    # v <= Ed, and each dead period's shrink does not exceed zero
+    good, good0, hi = goodwill_rows(*demand_affine(inst, 1, T, 0.0, delta), delta)
     rows = np.vstack([
         need,                                   # capital sufficiency
         -cap,                                   # B >= 0
         np.cumsum(V - Y, axis=0),               # I >= 0
-        V - ed @ V,                             # v <= Ed
-        side[:, None] * (shrink[1:] @ V),       # survival
+        good @ V,                               # goodwill
     ])
-    rhs = np.concatenate([need0, cap0, np.zeros(T), ed0, -side * shrink0[1:]])
+    rhs = np.concatenate([need0, cap0, np.zeros(T), good0])
     return LpProblem(objective=cap[-1], rows=rows, rhs=rhs,
+                     hi=np.concatenate([np.full(T, math.inf), hi]),
                      objective_offset=cap0[-1] - inst.B0)
 
 
@@ -112,7 +114,7 @@ def _node_lp(root: LpProblem, inst: Instance, x: np.ndarray,
     cap0, need0 = capital_offsets(inst, 1, np.where(fixed, x, 0), inst.B0)
     rhs = root.rhs.copy()
     rhs[:T], rhs[T : 2 * T] = need0, cap0
-    hi = np.full(2 * T, math.inf)
+    hi = root.hi.copy()
     hi[:T][fixed & (x == 0)] = 0.0
     return LpProblem(objective=root.objective, rows=root.rows, rhs=rhs, hi=hi,
                      objective_offset=cap0[-1] - inst.B0)
@@ -199,12 +201,10 @@ def solve_exact(inst: Instance, max_T: int = MAX_T) -> Solution:
     return Solution(trajectory=traj, objective=traj.objective, lp_count=lp_count)
 
 
-def deviation(inst: Instance, max_T: int = MAX_T,
-              frh_solution: Solution | None = None) -> float:
+def deviation(inst: Instance, max_T: int = MAX_T) -> float:
     """Relative shortfall of the heuristic against the exact optimum."""
     exact = solve_exact(inst, max_T)
-    heur = frh_solution if frh_solution is not None else solve_frh(inst)
-    return relative_gap(exact.objective, heur.objective)
+    return relative_gap(exact.objective, solve_frh(inst).objective)
 
 
 def relative_gap(exact: float, heuristic: float) -> float:

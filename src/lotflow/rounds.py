@@ -12,7 +12,10 @@ demands ``v_t``:
 * a final LP re-solves with those flags fixed.
 
 Everything (effective demand, inventory, capital) is affine in ``v``, so each
-model is a single dense LP.
+model is a single dense LP. The first and the final LP are one build over
+survival flags, all ones for the first, with the goodwill constraints of
+:func:`model.goodwill_rows`; the relaxation bounds each ``v`` by its demand
+instead.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import LpProblem, LpSolution, LpStatus, LpNumericalError, lp_solve
-from .model import Instance, capital_affine, demand_affine, effective_demand
+from .model import (Instance, capital_affine, demand_affine, effective_demand,
+                    goodwill_rows)
 
 # closes the strict inequality used when a period's demand is flagged dead
 TOL_STRICT = 1e-9
@@ -77,12 +81,13 @@ def _cycle_bounds(spec: RoundSpec):
     return list(zip(starts, ends))
 
 
-def _round_lp(inst: Instance, spec: RoundSpec, model: str,
-              deltas=None, w_cap: float | None = None) -> LpProblem:
-    """Assemble the LP for one of the three round models.
+def _round_lp(inst: Instance, spec: RoundSpec, deltas=None,
+              w_cap: float | None = None) -> LpProblem:
+    """Assemble a round LP over the survival flags ``deltas``.
 
     Decision variables are v_t for t in [m, n] (local index 0..L-1); every
-    row is a ``<=`` row.
+    row is a ``<=`` row. With flags, the goodwill constraints are those of
+    :func:`model.goodwill_rows`; without, ``v <= d`` relaxes them.
     """
     L = spec.n - spec.m + 1
     d = inst.d[spec.m - 1 : spec.n]
@@ -100,29 +105,19 @@ def _round_lp(inst: Instance, spec: RoundSpec, model: str,
         (-cap, cap0),
     ]
     hi = d.copy()
-    if model != "sub2":
-        if model == "sub1" and inst.beta == 0:
-            # without goodwill loss the effective demand is d itself
-            ed, ed0 = np.zeros((L, L)), d
+    if deltas is not None:
+        if inst.beta == 0:
+            # without goodwill loss Ed and the shrink are the constant d
+            zero = np.zeros((L, L))
+            affine = zero, d, zero, d
         else:
-            ed, ed0, shrink, shrink0 = demand_affine(inst, spec.m, spec.n,
-                                                      spec.w_in, deltas)
-        # realized demand within effective demand
-        if model == "sub1":
-            # a constant effective demand bounds its v and needs no row
-            live = ed.any(axis=1)
-            hi = np.where(live, math.inf, ed0)
-            blocks.append(((V - ed)[live], ed0[live]))
-        else:
-            blocks.append((V - ed, ed0))
-        if model == "sub3":
-            # demand must actually fall below the goodwill shrink
-            dead = np.flatnonzero(deltas[1:] == 0) + 1
-            blocks.append((shrink[dead], -TOL_STRICT - shrink0[dead]))
+            affine = demand_affine(inst, spec.m, spec.n, spec.w_in, deltas)
+        good, good0, hi = goodwill_rows(*affine, deltas, strict=TOL_STRICT)
+        blocks.append((good, good0))
         if w_cap is not None:
-            w_row = ed[-1].copy()
-            w_row[-1] -= 1.0
-            blocks.append((w_row[None], [w_cap - ed0[-1]]))
+            # lost sales of period n: Ed_n - v_n <= w_cap
+            ed, ed0 = affine[:2]
+            blocks.append(((ed[-1] - V[-1])[None], [w_cap - ed0[-1]]))
 
     rhs = np.concatenate([b for _, b in blocks])
     return LpProblem(objective=cap[-1], rows=np.vstack([r for r, _ in blocks]),
@@ -131,11 +126,13 @@ def _round_lp(inst: Instance, spec: RoundSpec, model: str,
 
 
 def build_psub1(inst: Instance, spec: RoundSpec, w_cap: float | None = None) -> LpProblem:
-    return _round_lp(inst, spec, "sub1", w_cap=w_cap)
+    # every period survives
+    deltas = np.ones(spec.n - spec.m + 1, dtype=int)
+    return _round_lp(inst, spec, deltas, w_cap=w_cap)
 
 
 def build_psub2(inst: Instance, spec: RoundSpec) -> LpProblem:
-    return _round_lp(inst, spec, "sub2")
+    return _round_lp(inst, spec)
 
 
 def build_psub3(inst: Instance, spec: RoundSpec, deltas,
@@ -143,7 +140,7 @@ def build_psub3(inst: Instance, spec: RoundSpec, deltas,
     deltas = np.asarray(deltas, dtype=int)
     if deltas.shape != (spec.n - spec.m + 1,):
         raise ValueError("deltas must cover the round window")
-    return _round_lp(inst, spec, "sub3", deltas=deltas, w_cap=w_cap)
+    return _round_lp(inst, spec, deltas, w_cap=w_cap)
 
 
 def infer_deltas(inst: Instance, spec: RoundSpec, v) -> np.ndarray:

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import lotflow.frh as frh
 from lotflow import (Instance, Plan, check_feasibility, evaluate_plan,
                      gen_random_small, gen_table1, recurse, solve_exact,
                      solve_frh)
 from lotflow.frh import Solution, _Frh, corollary2_postpass
+from lotflow.rounds import solve_round
 
 
 class TestRecursion:
@@ -152,16 +154,29 @@ class TestDegenerateRuns:
         assert not check_feasibility(inst, sol.trajectory).feasible
 
     @pytest.mark.parametrize("beta", [0.0, 0.5])
-    def test_rounds_after_a_degenerate_period_are_rejected(self, beta):
+    def test_rounds_after_a_degenerate_period_are_rejected(self, beta,
+                                                            monkeypatch):
         """B0 = 100 and 100 * 2**2 = 400 falls due at the end of period 2.
         Period 1 sells 10 units made there: B1 = 100 + 100 - 5 - 10 = 185.
         No plan reaches 400 by period 2 (at best 100 - 25 + 200 = 275), so
         period 2 is committed degenerate with B2 = -215, and every later
-        candidate, built on that slot or not, inherits the shortfall. The
-        plan stays the period-1 round: objective -215 - 100 = -315."""
+        candidate inherits the shortfall. A round on a slot committed
+        degenerate would copy it, so none is built there. The plan stays
+        the period-1 round: objective -215 - 100 = -315."""
         inst = Instance(T=4, d=[10] * 4, p=[10] * 4, c=[1] * 4, h=[0] * 4,
                         s=[5] * 4, Bc=0.0, BL=100.0, TL=2, r=1.0, beta=beta)
+        sent = []
+
+        def recording(inst, spec, w_cap=None):
+            sent.append(spec)
+            return solve_round(inst, spec, w_cap=w_cap)
+
+        monkeypatch.setattr(frh, "solve_round", recording)
         sol = solve_frh(inst)
+        # a round on slot m - 1 launches its newest cycle at m; slots 2 and
+        # 3 are committed degenerate, so only rounds on slots 0 and 1 remain
+        assert sorted({(spec.cycle_starts[-1], spec.n) for spec in sent}) == [
+            (1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4)]
         assert sol.degenerate
         assert sol.objective == -315.0
         assert list(sol.trajectory.plan.y) == [10.0, 0.0, 0.0, 0.0]

@@ -1,5 +1,6 @@
 """Exact oracle: guards, hand-checked optima, structure, references."""
 
+import dataclasses
 from itertools import count
 
 import numpy as np
@@ -234,11 +235,25 @@ class TestNodeLp:
         assert sol.objective_value == float.fromhex("0x1.c99ceb9630808p+10")
 
     def test_has_only_le_rows_over_two_columns_per_period(self):
-        inst = next(inst for inst in BB_DRAWS if inst.T == 8)
-        for delta in _delta_patterns(inst):
-            prob = node_lp(inst, np.zeros(8, dtype=int), delta, 0)
-            assert prob.n_vars == 16
-            assert prob.rows.shape == (5 * 8 - 1, 16)
+        # per period: capital sufficiency, B >= 0, I >= 0, and v <= Ed as
+        # a row where Ed depends on v; Ed1 and a dead period's Ed are
+        # constants, so v's bounds, and a dead period adds its survival row
+        draw = next(inst for inst in BB_DRAWS if inst.T == 8)
+        assert len(_delta_patterns(draw)) > 1
+        for beta in (0.0, draw.beta):
+            inst = dataclasses.replace(draw, beta=beta)
+            for delta in _delta_patterns(inst):
+                prob = node_lp(inst, np.zeros(8, dtype=int), delta, 0)
+                assert prob.n_vars == 16
+                n_rows = 3 * 8 if beta == 0 else 4 * 8 - 1
+                assert prob.rows.shape == (n_rows, 16)
+                if beta == 0:
+                    hi_v = inst.d
+                else:
+                    hi_v = np.where(delta == 1, np.inf, 0.0)
+                    hi_v[0] = inst.d[0]
+                np.testing.assert_array_equal(prob.hi[:8], np.inf)
+                np.testing.assert_array_equal(prob.hi[8:], hi_v)
 
 
 class TestMilpReference:

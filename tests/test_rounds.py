@@ -194,12 +194,28 @@ class TestRoundLpLayout:
 
     def test_psub3_dead_period(self):
         prob = build_psub3(self.inst, self.spec, [1, 1, 0])
+        assert len(prob.rows) == 7
         np.testing.assert_array_equal(prob.rows[-2:], [
-            [0, 0, 1],         # a dead period's effective demand is zero
+            [-0.5, 1, 0],      # v2 <= Ed2
             [-0.25, 0.5, 0],   # 20 - 0.5 w2 = 7.5 - 0.25 v1 + 0.5 v2 < 0
         ])
-        np.testing.assert_array_equal(prob.rhs[-2:], [0, -(7.5 + TOL_STRICT)])
-        np.testing.assert_array_equal(prob.hi, [30, 40, 20])
+        np.testing.assert_array_equal(prob.rhs[-2:], [25, -(7.5 + TOL_STRICT)])
+        # a dead period's effective demand is zero: v3's bound, not a row
+        np.testing.assert_array_equal(prob.hi, [30, np.inf, 0])
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    @pytest.mark.parametrize("w_cap", [None, 3.0])
+    def test_psub1_is_psub3_with_every_period_surviving(self, beta, w_cap):
+        inst = replace(self.inst, beta=beta)
+        for spec in (self.spec, RoundSpec(n=3, cycle_starts=(2,), B_in=400.0,
+                                          w_in=12.0)):
+            one = build_psub1(inst, spec, w_cap=w_cap)
+            three = build_psub3(inst, spec, np.ones(spec.n - spec.m + 1),
+                                w_cap=w_cap)
+            for name in ("objective", "rows", "rhs", "hi"):
+                np.testing.assert_array_equal(getattr(one, name),
+                                              getattr(three, name))
+            assert one.objective_offset == three.objective_offset
 
 
 class TestEnumerateRoundSpecs:

@@ -96,10 +96,7 @@ class RunReport:
         (out_dir / "summary.json").write_text(
             json.dumps(summary, indent=2), encoding="utf-8")
         with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=[
-                "group", "cases", "degenerate", "errors", "non_optimal",
-                "mean_deviation", "max_deviation", "mean_frh_time",
-                "mean_oracle_time"])
+            writer = csv.DictWriter(fh, fieldnames=list(summary["pivot"][0]))
             writer.writeheader()
             writer.writerows(summary["pivot"])
 
@@ -147,14 +144,8 @@ def cmd_sweep(args) -> int:
 
 def _bench_one(idx: int, inst: Instance, cfg_fields: dict, run_oracle: bool,
                oracle_max_t: int) -> dict:
-    row = dict(cfg_fields)
-    row["instance_id"] = idx
-    row["T"] = inst.T
-    row["beta"] = inst.beta
-    row["oracle_objective"] = None
-    row["deviation"] = None
-    row["oracle_time"] = None
-    row["error"] = None
+    row = {**cfg_fields, **dict.fromkeys(RunReport.ROW_FIELDS), "instance_id": idx,
+           "T": inst.T, "beta": inst.beta, "frh_time": float("nan")}
     try:
         start = time.perf_counter()
         sol = solve_frh(inst)
@@ -170,10 +161,6 @@ def _bench_one(idx: int, inst: Instance, cfg_fields: dict, run_oracle: bool,
             row["deviation"] = relative_gap(exact.objective, sol.objective)
     except (LpNumericalError, LpError, InputError, OracleGuardError) as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
-        row.setdefault("frh_time", float("nan"))
-        row.setdefault("frh_objective", None)
-        row.setdefault("lp_count", None)
-        row.setdefault("degenerate", None)
     return row
 
 

@@ -16,13 +16,16 @@ import numpy as np
 
 from .model import Instance, InputError
 
-TABLE2_T = (12, 24, 36, 48, 60, 72)
-TABLE2_DEMAND = ("exponential", "normal", "uniform")
-TABLE2_COST = ("constant", "seasonal")
-TABLE2_PRICE = ("uniform", "seasonal")
-TABLE2_CAPITAL = ("two_periods", "three_periods")
-TABLE2_LOAN = ("none", "loan")
-TABLE2_BETA = (0.0, 0.10, 0.50)
+# the menu of each Table-2 factor, in the grid's lexicographic order
+_TABLE2_MENUS = {
+    "T": (12, 24, 36, 48, 60, 72),
+    "demand_mode": ("exponential", "normal", "uniform"),
+    "cost_mode": ("constant", "seasonal"),
+    "price_mode": ("uniform", "seasonal"),
+    "capital_mode": ("two_periods", "three_periods"),
+    "loan_mode": ("none", "loan"),
+    "beta": (0.0, 0.10, 0.50),
+}
 
 _LEVELS = ("low", "high")
 # the factors of the Table-5 design, each at a low and a high level
@@ -73,16 +76,8 @@ class Table2Config:
     seed: int
 
     def __post_init__(self):
-        menu = [
-            ("T", self.T, TABLE2_T),
-            ("demand_mode", self.demand_mode, TABLE2_DEMAND),
-            ("cost_mode", self.cost_mode, TABLE2_COST),
-            ("price_mode", self.price_mode, TABLE2_PRICE),
-            ("capital_mode", self.capital_mode, TABLE2_CAPITAL),
-            ("loan_mode", self.loan_mode, TABLE2_LOAN),
-            ("beta", self.beta, TABLE2_BETA),
-        ]
-        for name, value, allowed in menu:
+        for name, allowed in _TABLE2_MENUS.items():
+            value = getattr(self, name)
             if value not in allowed:
                 raise ConfigError(f"{name}={value!r} not in {allowed}")
 
@@ -184,15 +179,10 @@ def _derive_seed(master_seed: int, *key: int) -> int:
 def grid_table2(master_seed: int) -> list:
     """Full factorial grid (864 configs) in documented lexicographic order:
     T, demand, cost, price, capital, loan, beta."""
-    configs = []
-    combos = product(TABLE2_T, TABLE2_DEMAND, TABLE2_COST, TABLE2_PRICE,
-                     TABLE2_CAPITAL, TABLE2_LOAN, TABLE2_BETA)
-    for idx, (T, dm, cm, pm, capm, lm, beta) in enumerate(combos):
-        configs.append(Table2Config(T=T, demand_mode=dm, cost_mode=cm,
-                                    price_mode=pm, capital_mode=capm,
-                                    loan_mode=lm, beta=beta,
-                                    seed=_derive_seed(master_seed, idx)))
-    return configs
+    combos = product(*_TABLE2_MENUS.values())
+    return [Table2Config(**dict(zip(_TABLE2_MENUS, levels)),
+                         seed=_derive_seed(master_seed, idx))
+            for idx, levels in enumerate(combos)]
 
 
 def grid_table5(master_seed: int) -> list:

@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -61,7 +61,9 @@ def _as_vector(name: str, values, T: int) -> np.ndarray:
 class Instance:
     """All exogenous data of one problem instance.
 
-    ``TL`` and ``r`` are ignored when ``BL == 0``.
+    ``TL`` and ``r`` are ignored when ``BL == 0``. ``outflow`` is derived:
+    the cash paid out at the end of each period besides production, which is
+    the loan repayment in period ``TL`` and zero elsewhere.
     """
 
     T: int
@@ -75,6 +77,7 @@ class Instance:
     TL: int = 0
     r: float = 0.0
     beta: float = 0.0
+    outflow: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "T", _as_int("T", self.T))
@@ -105,6 +108,9 @@ class Instance:
             finite = False
         if not finite:
             raise InputError("Bc + BL and the loan repayment must be finite")
+        outflow = np.where(np.arange(1, self.T + 1) == self.TL, self.repayment, 0.0)
+        outflow.setflags(write=False)
+        object.__setattr__(self, "outflow", outflow)
 
     @property
     def B0(self) -> float:
@@ -119,31 +125,19 @@ class Instance:
         return self.BL * (1.0 + self.r) ** self.TL
 
     def to_dict(self) -> dict:
-        return {
-            "T": self.T,
-            "d": list(map(float, self.d)),
-            "p": list(map(float, self.p)),
-            "c": list(map(float, self.c)),
-            "h": list(map(float, self.h)),
-            "s": list(map(float, self.s)),
-            "Bc": self.Bc,
-            "BL": self.BL,
-            "TL": self.TL,
-            "r": self.r,
-            "beta": self.beta,
-        }
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        return {name: value.tolist() if isinstance(value, np.ndarray) else value
+                for name, value in values.items()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Instance":
+        """Missing optional fields take the dataclass defaults."""
         try:
-            return cls(
-                T=data["T"], d=data["d"], p=data["p"], c=data["c"], h=data["h"],
-                s=data["s"], Bc=data["Bc"], BL=data.get("BL", 0.0),
-                TL=data.get("TL", 0), r=data.get("r", 0.0), beta=data.get("beta", 0.0),
-            )
+            return cls(**{f.name: data[f.name] for f in fields(cls)
+                          if f.init and (f.name in data or f.default is MISSING)})
         except KeyError as exc:
             raise InputError(f"missing instance field {exc}") from exc
 
@@ -239,18 +233,16 @@ def evaluate_plan(inst: Instance, plan: Plan, base: Trajectory | None = None,
         w_prev = float(w[lo - 1])
     # the recursion runs on Python floats, which round like float64 scalars
     i_t, b_t = float(I[lo]), float(B[lo])
-    beta, due = inst.beta, (inst.TL if inst.BL > 0 else 0)
+    beta = inst.beta
     ed_new, w_new, i_new, b_new = [], [], [], []
-    for t, (d_t, p_t, h_t, s_t, c_t, x_t, y_t, v_t) in enumerate(zip(
+    for d_t, p_t, h_t, s_t, c_t, o_t, x_t, y_t, v_t in zip(
             inst.d[lo:].tolist(), inst.p[lo:].tolist(), inst.h[lo:].tolist(),
-            inst.s[lo:].tolist(), inst.c[lo:].tolist(), x[lo:].tolist(),
-            plan.y[lo:].tolist(), plan.v[lo:].tolist()), start=lo + 1):
+            inst.s[lo:].tolist(), inst.c[lo:].tolist(), inst.outflow[lo:].tolist(),
+            x[lo:].tolist(), plan.y[lo:].tolist(), plan.v[lo:].tolist()):
         ed_t = effective_demand(d_t, w_prev, beta)
         w_prev = ed_t - v_t
         i_t = i_t + y_t - v_t
-        b_t = b_t + p_t * v_t - h_t * i_t - s_t * x_t - c_t * y_t
-        if t == due:
-            b_t -= inst.repayment
+        b_t = b_t + p_t * v_t - h_t * i_t - s_t * x_t - c_t * y_t - o_t
         ed_new.append(ed_t)
         w_new.append(w_prev)
         i_new.append(i_t)
@@ -330,17 +322,14 @@ def capital_offsets(inst: Instance, m: int, x, B_in: float):
     """The constant terms ``cap0`` and ``need0`` of :func:`capital_affine`,
     the only ones its setups ``x`` enter."""
     L = len(x)
-    s = inst.s[m - 1 : m - 1 + L]
+    setup = inst.s[m - 1 : m - 1 + L] * x
     cap0 = np.empty(L + 1)
-    b = cap0[0] = B_in
-    due = inst.TL - m if inst.BL > 0 else -1
-    for k in range(L):
-        if x[k]:
-            b -= s[k]
-        if k == due:
-            b -= inst.repayment
-        cap0[k + 1] = b
-    return cap0[1:], cap0[:-1] - s * x
+    cap0[0] = b = B_in
+    # setup, then outflow: evaluate_plan's subtractions in its order
+    for k, (s_k, o_k) in enumerate(zip(setup.tolist(),
+                                       inst.outflow[m - 1 : m - 1 + L].tolist())):
+        cap0[k + 1] = b = b - s_k - o_k
+    return cap0[1:], cap0[:-1] - setup
 
 
 # the per-period constraint rows of check_feasibility, in reporting order
@@ -390,10 +379,9 @@ def check_feasibility(inst: Instance, traj: Trajectory, tol: float = TOL_FEAS,
     np.subtract(w, Ed, out=magnitudes[3])
     # C6: inventory flow balance
     np.abs(I_out - (I_in + y - v), out=magnitudes[4])
-    # C8: capital flow balance, with the one-time loan repayment
-    b_expect = B_in + inst.p[lo:T] * v - inst.h[lo:T] * I_out - setup - make
-    if inst.BL > 0 and lo < inst.TL <= T:
-        b_expect[inst.TL - 1 - lo] -= inst.repayment
+    # C8: capital flow balance, with the outflow (the loan repayment)
+    b_expect = (B_in + inst.p[lo:T] * v - inst.h[lo:T] * I_out - setup - make
+                - inst.outflow[lo:T])
     np.abs(B_out - b_expect, out=magnitudes[5])
     # C9: effective demand recursion; fmax clamps like effective_demand up
     # to the sign of a zero, which the magnitude drops

@@ -56,13 +56,13 @@ def _delta_patterns(inst: Instance):
 
     delta[t] = 0 needs beta * w[t-1] >= d[t] with w[t-1] <= d[t-1], and a
     dead period leaves no lost sales behind, so a 0 can only follow a 1.
-    Period 1 always survives (no prior lost sales).
+    Period 1 always survives (no prior lost sales), and without goodwill
+    loss (beta = 0) every period does: a dead zero-demand period would only
+    repeat its surviving copy's feasible set.
     """
     T = inst.T
-    free = []
-    for t in range(1, T):
-        if inst.beta * inst.d[t - 1] >= inst.d[t]:
-            free.append(t)
+    free = [t for t in range(1, T)
+            if inst.beta > 0 and inst.beta * inst.d[t - 1] >= inst.d[t]]
     patterns = []
     for bits in product((1, 0), repeat=len(free)):
         delta = np.ones(T, dtype=int)

@@ -51,8 +51,18 @@ class TestInstanceValidation:
     def test_missing_json_field(self):
         data = make_instance().to_dict()
         del data["d"]
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="missing instance field 'd'"):
             Instance.from_dict(data)
+        # the first missing field in field order is named
+        del data["T"]
+        with pytest.raises(InputError, match="missing instance field 'T'"):
+            Instance.from_dict(data)
+        # the optional fields take the dataclass defaults
+        full = make_instance(BL=300.0, TL=2, r=0.05, beta=0.5).to_dict()
+        required = {k: full[k] for k in ("T", "d", "p", "c", "h", "s", "Bc")}
+        inst = Instance.from_dict(required)
+        assert (inst.BL, inst.TL, inst.r, inst.beta) == (0.0, 0, 0.0, 0.0)
+        assert inst.to_dict() == {**full, "BL": 0.0, "TL": 0, "r": 0.0, "beta": 0.0}
 
     def test_malformed_json(self):
         with pytest.raises(InputError):
@@ -65,6 +75,18 @@ class TestInstanceValidation:
 
     def test_no_loan_repayment_zero(self):
         assert make_instance().repayment == 0.0
+
+    def test_outflow_is_the_repayment_in_period_TL(self):
+        inst = make_instance(BL=300.0, TL=2, r=0.10)
+        assert inst.outflow.tolist() == [0.0, inst.repayment, 0.0]
+        assert not inst.outflow.flags.writeable
+        assert make_instance().outflow.tolist() == [0.0, 0.0, 0.0]
+        # replace derives it again from the new fields
+        later = dataclasses.replace(inst, TL=3)
+        assert later.outflow.tolist() == [0.0, 0.0, later.repayment]
+        assert not dataclasses.replace(inst, BL=0.0).outflow.any()
+        # derived, so not part of the JSON schema
+        assert "outflow" not in inst.to_dict()
 
 
 class TestEffectiveDemand:
@@ -285,7 +307,8 @@ def test_affine_model_reproduces_evaluation(T, seed):
 def test_affine_capital_reproduces_a_round_window(T, seed):
     """In a round's layout, where each cycle's launch makes all the units
     its periods realize, the affine capital over the window in v gives
-    evaluate_plan's capital."""
+    evaluate_plan's capital, whether the loan is repaid at the window's
+    first or last period, before it or after it."""
     rng = np.random.default_rng(seed)
     inst = _goodwill_loan_instance(rng, T)
     m, n = sorted(int(t) for t in rng.integers(1, T + 1, size=2))
@@ -301,10 +324,13 @@ def test_affine_capital_reproduces_a_round_window(T, seed):
     v_all = _random_plan(rng, inst).v.copy()
     y_all = v_all.copy()
     y_all[m - 1 : n], v_all[m - 1 : n] = Y @ v, v
-    traj = evaluate_plan(inst, Plan(y_all, v_all))
-    assert list(traj.x[m - 1 : n]) == list(x)
-    cap, cap0, _, _ = capital_affine(inst, m, Y, np.eye(L), x, traj.B[m - 1])
-    _assert_close(cap @ v + cap0, traj.B[m : n + 1])
+    before, after = range(1, m), range(n + 1, T + 1)
+    for TL in [m, n] + [int(rng.choice(r)) for r in (before, after) if r]:
+        loan = dataclasses.replace(inst, TL=TL)
+        traj = evaluate_plan(loan, Plan(y_all, v_all))
+        assert list(traj.x[m - 1 : n]) == list(x)
+        cap, cap0, _, _ = capital_affine(loan, m, Y, np.eye(L), x, traj.B[m - 1])
+        _assert_close(cap @ v + cap0, traj.B[m : n + 1])
 
 
 class TestViolations:

@@ -56,10 +56,13 @@ class TestHandExamples:
 
 class TestDeltaPatterns:
     def test_no_goodwill_single_pattern(self):
-        inst = two_period_instance()
-        patterns = _delta_patterns(inst)
-        assert len(patterns) == 1
-        assert list(patterns[0]) == [1, 1]
+        # without goodwill loss a zero-demand period cannot die either
+        zero_demand = Instance(T=4, d=[10, 0, 10, 0], p=[20] * 4, c=[5] * 4,
+                               h=[1] * 4, s=[100] * 4, Bc=500.0, beta=0.0)
+        for inst in (two_period_instance(), zero_demand):
+            patterns = _delta_patterns(inst)
+            assert len(patterns) == 1
+            assert list(patterns[0]) == [1] * inst.T
 
     def test_goodwill_allows_dead_period(self):
         inst = Instance(T=2, d=[100, 10], p=[20, 20], c=[5, 5], h=[1, 1],

@@ -54,7 +54,7 @@ class LpNumericalError(Exception):
     """Raised by callers that cannot tolerate a NUMERICAL_FAILURE status."""
 
 
-@dataclass
+@dataclass(eq=False)
 class LpProblem:
     """max objective . x + objective_offset  s.t.  rows . x <= rhs, 0 <= x <= hi.
 
@@ -104,7 +104,7 @@ class LpProblem:
         return "\n".join(lines)
 
 
-@dataclass
+@dataclass(eq=False)
 class Tableau:
     """The tableau state of a solve; an optimal solution keeps its final
     one, which a child re-solves from.
@@ -125,14 +125,14 @@ class Tableau:
         return 50 * self.tab.shape[1]
 
 
-@dataclass
+@dataclass(eq=False)
 class LpSolution:
     status: LpStatus
     x: np.ndarray | None = None
     objective_value: float | None = None
     iterations: int = 0
     # set on an optimal solution: the state a warm start begins from
-    tableau: Tableau | None = field(default=None, repr=False, compare=False)
+    tableau: Tableau | None = field(default=None, repr=False)
 
 
 def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int):
@@ -169,8 +169,6 @@ def _simplex_phase(tab: np.ndarray, basis: np.ndarray, ub: np.ndarray,
     rhs = tab[:m, -1]
     allowed = ub > 0
     bounded = np.isfinite(ub)
-    # without a finite bound no basic variable can rise to one
-    any_bounded = bool(bounded.any())
     bounded_rows = bounded[basis]
     stall = 0
     use_bland = False
@@ -191,12 +189,11 @@ def _simplex_phase(tab: np.ndarray, basis: np.ndarray, ub: np.ndarray,
         # variable rises to its bound
         rows = (colvec > _PIVOT_TOL).nonzero()[0]
         ratios = rhs[rows] / colvec[rows]
-        if any_bounded:
-            up = ((colvec < -_PIVOT_TOL) & bounded_rows).nonzero()[0]
-            if up.size:
-                rows = np.concatenate([rows, up])
-                ratios = np.concatenate(
-                    [ratios, (ub[basis[up]] - rhs[up]) / -colvec[up]])
+        up = ((colvec < -_PIVOT_TOL) & bounded_rows).nonzero()[0]
+        if up.size:
+            rows = np.concatenate([rows, up])
+            ratios = np.concatenate(
+                [ratios, (ub[basis[up]] - rhs[up]) / -colvec[up]])
         step = ub[col]
         best = ratios.min() if rows.size else math.inf
         if step <= best:

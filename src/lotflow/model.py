@@ -57,13 +57,16 @@ def _as_vector(name: str, values, T: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """All exogenous data of one problem instance.
 
     ``TL`` and ``r`` are ignored when ``BL == 0``. ``outflow`` is derived:
     the cash paid out at the end of each period besides production, which is
     the loan repayment in period ``TL`` and zero elsewhere.
+
+    Like every dataclass here that holds an array, an instance is ``==``
+    only to itself; compare ``to_dict()`` outputs to compare values.
     """
 
     T: int
@@ -77,7 +80,7 @@ class Instance:
     TL: int = 0
     r: float = 0.0
     beta: float = 0.0
-    outflow: np.ndarray = field(init=False, repr=False, compare=False)
+    outflow: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "T", _as_int("T", self.T))
@@ -152,7 +155,7 @@ class Instance:
         return cls.from_dict(data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Plan:
     """Decision vectors: production quantity and realized demand per period."""
 
@@ -174,7 +177,7 @@ class Plan:
         return cls(np.zeros(T), np.zeros(T))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """A fully evaluated plan: derived setups, flows and the objective.
 
@@ -261,11 +264,16 @@ def demand_affine(inst: Instance, m: int, n: int, w_in: float, deltas):
     ``w_in`` the lost sales of period m - 1. The shrink ``shrink @ v +
     shrink0`` is ``d_t - beta * w_{t-1}``, the effective demand of a
     surviving period (row 0, period m, is left zero). The periods that
-    ``deltas`` flags dead have effective demand zero.
+    ``deltas`` flags dead have effective demand zero. Without goodwill loss
+    (beta = 0) both are the constant ``d`` whatever the flags, so a period
+    flagged dead can only die where its demand is zero.
     """
     L = n - m + 1
     beta = inst.beta
     d = inst.d[m - 1 : n]
+    if beta == 0:
+        zero = np.zeros((L, L))
+        return zero, d, zero, d
     ed, shrink = np.zeros((L, L)), np.zeros((L, L))
     ed0, shrink0 = np.zeros(L), np.zeros(L)
     ed0[0] = effective_demand(d[0], w_in, beta)
@@ -279,19 +287,20 @@ def demand_affine(inst: Instance, m: int, n: int, w_in: float, deltas):
     return ed, ed0, shrink, shrink0
 
 
-def goodwill_rows(ed, ed0, shrink, shrink0, deltas, strict: float = 0.0):
+def goodwill_rows(ed, ed0, shrink, shrink0, deltas):
     """The goodwill constraints over ``v`` as ``rows @ v <= rhs`` and ``v <= hi``.
 
     Takes the output of :func:`demand_affine`. ``v <= Ed`` is a row where
     the effective demand depends on ``v`` and the bound ``hi`` where it is a
     constant (Dantzig's upper-bounding rule). A period that ``deltas`` flags
-    dead adds the row ``shrink <= -strict``; a surviving one adds none,
+    dead adds the row ``shrink <= 0``: at a zero shrink the effective
+    demand ``max(0, shrink)`` is zero as well. A surviving one adds none,
     since ``0 <= v <= Ed`` already keeps its shrink nonnegative.
     """
     live = ed.any(axis=1)
     dead = np.flatnonzero(deltas[1:] == 0) + 1
     rows = np.vstack([(np.eye(len(ed)) - ed)[live], shrink[dead]])
-    rhs = np.concatenate([ed0[live], -strict - shrink0[dead]])
+    rhs = np.concatenate([ed0[live], -shrink0[dead]])
     return rows, rhs, np.where(live, math.inf, ed0)
 
 

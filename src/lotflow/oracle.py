@@ -21,9 +21,10 @@ node re-solves from its parent's final tableau (``lp_solve(...,
 warm=parent)``).
 
 A node is pruned when its LP is infeasible or its bound cannot beat the
-incumbent. When no undecided period produces in a node's optimum, the
-completion with those setups off attains the bound, so that leaf is its only
-child. Plans come from leaves only, where every setup is fixed.
+incumbent. When no undecided period produces in a node's optimum (has a
+setup by ``model.TOL_ZERO``), the completion with those setups off attains
+the bound, so that leaf is its only child. Plans come from leaves only,
+where every setup is fixed.
 """
 
 from __future__ import annotations
@@ -35,17 +36,14 @@ import numpy as np
 
 from .frh import Solution, solve_frh
 from .lp import LpProblem, LpStatus, LpNumericalError, lp_solve
-from .model import (Instance, Plan, capital_affine, capital_offsets,
-                    check_feasibility, demand_affine, evaluate_plan,
-                    goodwill_rows)
+from .model import (TOL_ZERO, Instance, Plan, capital_affine,
+                    capital_offsets, check_feasibility, demand_affine,
+                    evaluate_plan, goodwill_rows)
 
 
 class OracleGuardError(ValueError):
     """Instance horizon exceeds the oracle's horizon guard."""
 
-
-# a node's LP produces in a period when its y exceeds this
-_PRODUCES = 1e-9
 
 # the default horizon guard: the search grows exponentially with T
 MAX_T = 8
@@ -172,7 +170,8 @@ def solve_exact(inst: Instance, max_T: int = MAX_T) -> Solution:
                 best_val = sol.objective_value
                 best_plan = Plan(y.copy(), sol.x[T : 2 * T].copy())
                 continue
-            producing = np.flatnonzero(y[k:] > _PRODUCES)
+            # a period produces where evaluate_plan would give it a setup
+            producing = np.flatnonzero(y[k:] > TOL_ZERO)
             if producing.size == 0:
                 # the completion with the undecided setups off attains this
                 # bound, so it is the only child worth a look

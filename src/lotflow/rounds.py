@@ -29,9 +29,6 @@ from .lp import LpProblem, LpSolution, LpStatus, LpNumericalError, lp_solve
 from .model import (Instance, capital_affine, demand_affine, effective_demand,
                     goodwill_rows)
 
-# closes the strict inequality used when a period's demand is flagged dead
-TOL_STRICT = 1e-9
-
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 
@@ -64,7 +61,7 @@ class RoundSpec:
         return self.cycle_starts[0]
 
 
-@dataclass
+@dataclass(eq=False)
 class RoundSolution:
     status: str
     BB: float
@@ -106,13 +103,8 @@ def _round_lp(inst: Instance, spec: RoundSpec, deltas=None,
     ]
     hi = d.copy()
     if deltas is not None:
-        if inst.beta == 0:
-            # without goodwill loss Ed and the shrink are the constant d
-            zero = np.zeros((L, L))
-            affine = zero, d, zero, d
-        else:
-            affine = demand_affine(inst, spec.m, spec.n, spec.w_in, deltas)
-        good, good0, hi = goodwill_rows(*affine, deltas, strict=TOL_STRICT)
+        affine = demand_affine(inst, spec.m, spec.n, spec.w_in, deltas)
+        good, good0, hi = goodwill_rows(*affine, deltas)
         blocks.append((good, good0))
         if w_cap is not None:
             # lost sales of period n: Ed_n - v_n <= w_cap
@@ -196,20 +188,16 @@ def _solve(prob: LpProblem) -> LpSolution:
 def solve_round(inst: Instance, spec: RoundSpec,
                 w_cap: float | None = None) -> RoundSolution:
     """Compute BB(m, n) through the three-model cascade."""
-    count = 1
-    sol1 = _solve(build_psub1(inst, spec, w_cap=w_cap))
-    if sol1.status is LpStatus.OPTIMAL:
-        return _reconstruct(spec, sol1.x, sol1.objective_value, "sub1", count)
-    if inst.beta == 0:
-        # the relaxation coincides with the first model, no point retrying
+    which, count = "sub1", 1
+    sol = _solve(build_psub1(inst, spec, w_cap=w_cap))
+    # without goodwill loss the relaxation coincides with the first model
+    if sol.status is not LpStatus.OPTIMAL and inst.beta > 0:
+        which, count = "sub2+sub3", 2
+        sol = _solve(build_psub2(inst, spec))
+        if sol.status is LpStatus.OPTIMAL:
+            deltas = infer_deltas(inst, spec, sol.x)
+            count = 3
+            sol = _solve(build_psub3(inst, spec, deltas, w_cap=w_cap))
+    if sol.status is not LpStatus.OPTIMAL:
         return _infeasible(spec, count)
-    count += 1
-    sol2 = _solve(build_psub2(inst, spec))
-    if sol2.status is not LpStatus.OPTIMAL:
-        return _infeasible(spec, count)
-    deltas = infer_deltas(inst, spec, sol2.x)
-    count += 1
-    sol3 = _solve(build_psub3(inst, spec, deltas, w_cap=w_cap))
-    if sol3.status is not LpStatus.OPTIMAL:
-        return _infeasible(spec, count)
-    return _reconstruct(spec, sol3.x, sol3.objective_value, "sub2+sub3", count)
+    return _reconstruct(spec, sol.x, sol.objective_value, which, count)

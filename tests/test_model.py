@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lotflow import (Instance, InputError, Plan, TOL_FEAS, check_feasibility,
-                     effective_demand, evaluate_plan, trajectory_to_csv)
+from lotflow import (Instance, InputError, LpProblem, Plan, RoundSpec, TOL_FEAS,
+                     check_feasibility, effective_demand, evaluate_plan,
+                     lp_solve, solve_frh, solve_round, trajectory_to_csv)
 from lotflow.model import capital_affine, demand_affine
 
 
@@ -87,6 +88,35 @@ class TestInstanceValidation:
         assert not dataclasses.replace(inst, BL=0.0).outflow.any()
         # derived, so not part of the JSON schema
         assert "outflow" not in inst.to_dict()
+
+
+def _lp():
+    return LpProblem(objective=[1.0, 1.0], rows=[[1.0, 2.0]], rhs=[4.0],
+                     hi=[3.0, 3.0])
+
+
+# each makes a fresh value of a dataclass that holds a numpy array,
+# directly or, for Solution, in its trajectory
+_ARRAY_HOLDERS = {
+    "Instance": make_instance,
+    "Plan": lambda: Plan([30.0, 0.0, 20.0], [30.0, 0.0, 20.0]),
+    "Trajectory": lambda: evaluate_plan(make_instance(), Plan.null(3)),
+    "LpProblem": _lp,
+    "LpSolution": lambda: lp_solve(_lp()),
+    "Tableau": lambda: lp_solve(_lp()).tableau,
+    "RoundSolution": lambda: solve_round(
+        make_instance(), RoundSpec(n=2, cycle_starts=(1,), B_in=500.0)),
+    "Solution": lambda: solve_frh(make_instance()),
+}
+
+
+@pytest.mark.parametrize("make", _ARRAY_HOLDERS.values(), ids=_ARRAY_HOLDERS)
+def test_array_holders_compare_by_identity(make):
+    # == compares by identity, where comparing the arrays inside would ask
+    # numpy for the truth value of an array
+    one, other = make(), make()
+    assert one == one
+    assert one != other
 
 
 class TestEffectiveDemand:

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import lotflow.frh as frh
-import lotflow.rounds as rounds
 from lotflow import Instance, Plan, evaluate_plan, gen_random_small, gen_table1
 from lotflow.lp import LpStatus, lp_solve
-from lotflow.rounds import (FEASIBLE, INFEASIBLE, TOL_STRICT, RoundSpec,
-                            build_psub1, build_psub2, build_psub3,
-                            infer_deltas, solve_round)
+from lotflow.model import demand_affine
+from lotflow.oracle import _delta_patterns, _pattern_lp
+from lotflow.rounds import (FEASIBLE, INFEASIBLE, RoundSpec, build_psub1,
+                            build_psub2, build_psub3, infer_deltas,
+                            solve_round)
 
 
 def single_period_instance():
@@ -164,14 +165,16 @@ class TestRoundLpLayout:
         np.testing.assert_array_equal(prob.objective, [16, 16, 15])
         assert prob.objective_offset == 565 - 1000
 
-    def test_psub1_without_goodwill(self, monkeypatch):
-        # at beta = 0 every effective demand is the constant d, so every
-        # v <= Ed is a bound: L capital rows and one row per launch remain
-        def refuse(*args, **kwargs):
-            raise AssertionError("demand_affine called at beta = 0")
-
-        monkeypatch.setattr(rounds, "demand_affine", refuse)
+    def test_psub1_without_goodwill(self):
+        # at beta = 0 every effective demand and every shrink is the
+        # constant d, whatever the flags and the lost sales entering
         inst = replace(self.inst, beta=0.0)
+        ed, ed0, shrink, shrink0 = demand_affine(inst, 1, 3, 12.0, [1, 0, 1])
+        assert not ed.any() and not shrink.any()
+        np.testing.assert_array_equal(ed0, inst.d)
+        np.testing.assert_array_equal(shrink0, inst.d)
+        # so every v <= Ed is a bound: L capital rows and one row per
+        # launch remain
         prob = build_psub1(inst, self.spec)
         np.testing.assert_array_equal(prob.rows, [
             [5, 0, 0],
@@ -197,9 +200,9 @@ class TestRoundLpLayout:
         assert len(prob.rows) == 7
         np.testing.assert_array_equal(prob.rows[-2:], [
             [-0.5, 1, 0],      # v2 <= Ed2
-            [-0.25, 0.5, 0],   # 20 - 0.5 w2 = 7.5 - 0.25 v1 + 0.5 v2 < 0
+            [-0.25, 0.5, 0],   # 20 - 0.5 w2 = 7.5 - 0.25 v1 + 0.5 v2 <= 0
         ])
-        np.testing.assert_array_equal(prob.rhs[-2:], [25, -(7.5 + TOL_STRICT)])
+        np.testing.assert_array_equal(prob.rhs[-2:], [25, -7.5])
         # a dead period's effective demand is zero: v3's bound, not a row
         np.testing.assert_array_equal(prob.hi, [30, np.inf, 0])
 
@@ -216,6 +219,28 @@ class TestRoundLpLayout:
                 np.testing.assert_array_equal(getattr(one, name),
                                               getattr(three, name))
             assert one.objective_offset == three.objective_offset
+
+
+class TestGoodwillRowsMatchTheOracle:
+    def test_window_from_period_one(self):
+        # a round over the whole horizon, with no lost sales entering,
+        # states the same goodwill rows, rhs and v bounds as the oracle's
+        # pattern LP for every survival pattern the oracle lists
+        T = 6
+        for seed in range(300):
+            inst = gen_random_small(seed, T, 0.9)
+            spec = RoundSpec(n=T, cycle_starts=(1,), B_in=inst.B0)
+            for delta in _delta_patterns(inst):
+                rnd = build_psub3(inst, spec, delta)
+                orc = _pattern_lp(inst, delta)
+                # after the launch's capital row and the T capital rows of
+                # the round; after capital sufficiency, capital and stock
+                # rows of the oracle, which reads v from column T on
+                np.testing.assert_array_equal(rnd.rows[1 + T:],
+                                              orc.rows[3 * T:, T:])
+                assert not orc.rows[3 * T:, :T].any()
+                np.testing.assert_array_equal(rnd.rhs[1 + T:], orc.rhs[3 * T:])
+                np.testing.assert_array_equal(rnd.hi, orc.hi[T:])
 
 
 class TestEnumerateRoundSpecs:

@@ -38,3 +38,24 @@ class TestCompareOracle:
         res = run_script("compare_oracle.py", "--cases", "0")
         assert res.returncode == 2
         assert "--cases must be at least 1" in res.stderr
+
+
+class TestAnswerDigest:
+    def test_draws_only_run_repeats_itself(self):
+        res = run_script("answer_digest.py", "--seeds", "", "--draws", "4")
+        assert res.returncode == 0, res.stderr
+        lines = res.stdout.splitlines()
+        # the heuristic on every draw, the oracle on all four (T <= 5)
+        assert [line.split()[0] for line in lines[:-1]] == [
+            f"random/{6000 + i}/T{2 + i}/{engine}"
+            for i in range(4) for engine in ("frh", "oracle")]
+        for line in lines[:-1]:
+            _, objective, lp_count, plan_hash, adjustments, degenerate = line.split()
+            float(objective)
+            assert int(lp_count) > 0
+            assert len(plan_hash) == 16
+            assert adjustments.startswith("[")
+            assert degenerate in ("0", "1")
+        assert lines[-1].split()[0] == "digest"
+        again = run_script("answer_digest.py", "--seeds", "", "--draws", "4")
+        assert again.stdout == res.stdout
